@@ -150,10 +150,8 @@ def _build_matrix(fs: FamilySpec) -> IntMatrix:
 
 
 def _family_period(fs: FamilySpec) -> int:
-    if fs.family == "A":
-        return 1
     if fs.family in COXETER_FAMILIES:
-        return 2
+        return chi_coxeter(fs.family, fs.m).period
     if fs.family == "Adeform":
         return known_period(DeformSpec(fs.m, fs.s), "Adeform")
     return known_period(DeformSpec(fs.m, fs.s, fs.r), "Ddeform")

@@ -14,7 +14,10 @@ the two generic counters plus exact interpolation:
   * snf_count: inclusion-exclusion over column subsets J,
         |M_S(q)| = sum_J (-1)^|J| q^(m - l(J)) prod_i gcd(e_{J,i}, q),
     where e_{J,i} are the elementary divisors of the column submatrix and
-    l(J) its rank; the empty subset contributes q^m.
+    l(J) its rank; the empty subset contributes q^m.  The terms depend on
+    J only through the lattice its columns span, so the sum runs over the
+    distinct lattices of intlinalg's lattice table, each weighted by its
+    signed subset count, not over the 2^n subsets.
   * interpolate_quasi: exact Lagrange interpolation (Fraction arithmetic)
     of one degree-m constituent per residue class mod a given period, from
     m + 1 counted samples per class.
@@ -29,14 +32,13 @@ import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
-from itertools import combinations, product
+from itertools import product
 
 import numpy as np
 
 from .arrangements import IntMatrix
 from .errors import BudgetExceeded, NotIntegral, NotMonic, TooManyColumns
-from .intlinalg import FULL_ENUMERATION_LIMIT, _divisors_of_columns
+from .intlinalg import FULL_ENUMERATION_LIMIT, _lattice_table
 
 DEFAULT_POINT_BUDGET = 10**8
 _CHUNK = 1 << 16
@@ -242,24 +244,14 @@ def brute_force_count(mat: IntMatrix, q: int, budget: int = DEFAULT_POINT_BUDGET
     return _count_python(mat, q)
 
 
-@lru_cache(maxsize=8)
-def _subset_divisor_table(mat: IntMatrix) -> tuple[tuple[int, tuple[int, ...]], ...]:
-    """(|J|, elementary divisors of S_J) for every nonempty column subset J."""
-    cols = mat.columns()
-    m = mat.rows
-    table = []
-    for size in range(1, len(cols) + 1):
-        for sub in combinations(cols, size):
-            table.append((size, tuple(_divisors_of_columns(sub, m))))
-    return tuple(table)
-
-
 def snf_count(
     mat: IntMatrix, q: int, column_limit: int = FULL_ENUMERATION_LIMIT
 ) -> int:
     """|M_S(q)| by inclusion-exclusion over the elementary divisor data.
 
-    Needs 2^n subset terms; matrices wider than column_limit are refused.
+    Sums one term per distinct column lattice (built once per matrix and
+    cached, shared with lcm_period).  Matrices wider than column_limit are
+    refused; the limit is a policy, the cost grows with the lattice count.
     Agreement with brute_force_count for all q is the core cross-check of
     the package.
     """
@@ -271,12 +263,12 @@ def snf_count(
             f"too many columns for inclusion-exclusion: {mat.cols} > {column_limit}"
         )
     m = mat.rows
-    total = q**m
-    for size, divs in _subset_divisor_table(mat):
-        term = q ** (m - len(divs))
+    total = 0
+    for count, divs in _lattice_table(mat, mat.cols):
+        term = count * q ** (m - len(divs))
         for e in divs:
             term *= math.gcd(e, q)
-        total += -term if size % 2 else term
+        total += term
     return total
 
 

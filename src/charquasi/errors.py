@@ -27,7 +27,12 @@ class IndexOutOfRange(CharQuasiError, IndexError):
 
 
 class TooManyColumns(CharQuasiError):
-    """Full subset enumeration refused: 2^n terms would exceed the budget."""
+    """A matrix is wider than the column limit of a generic route.
+
+    lcm_period (without a cap) and snf_count refuse more than
+    FULL_ENUMERATION_LIMIT columns by policy; their cost grows with the
+    number of distinct column lattices, not with 2^n.
+    """
 
 
 class BudgetExceeded(CharQuasiError):

@@ -11,11 +11,15 @@ The lcm period of a normal matrix S is
 
     rho_S = lcm over all nonempty column subsets J of e_{J, l(J)},
 
-the last elementary divisor of each column submatrix.  Full enumeration
-walks the subset tree depth-first and prunes every subtree rooted at a
-subset whose rank already equals rank(S) with all divisors 1: determinantal
-divisors of a submatrix divide those of any supermatrix, so every superset
-in such a subtree also has all divisors 1 and contributes nothing.
+the last elementary divisor of each column submatrix.  The divisors of S_J
+depend only on the lattice L_J spanned by the columns in J, so the subsets
+are grouped by lattice: _lattice_table adds one column at a time and keeps,
+per canonical row Hermite normal form of L_J, the signed count
+sum (-1)^|J| and the smallest |J|.  Its size is the number of distinct
+lattices, not 2^n, and every generic route (this period and the
+inclusion-exclusion count in counting.snf_count) reads the same cached
+table.  Refusing more than FULL_ENUMERATION_LIMIT columns is a policy kept
+for callers, not a bound on this cost.
 """
 
 from __future__ import annotations
@@ -24,13 +28,12 @@ import math
 import operator
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations
 from typing import Iterable, NamedTuple, Sequence
 
 from .arrangements import DeformSpec, IntMatrix
 from .errors import IndexOutOfRange, InvalidParity, TooManyColumns
 
-# 2^24 subsets is the largest full enumeration accepted without an explicit cap.
+# Widest matrix lcm_period (without a cap) and snf_count accept.
 FULL_ENUMERATION_LIMIT = 24
 
 
@@ -155,11 +158,6 @@ def _chain_fix(diag: Iterable[int]) -> list[int]:
     return d
 
 
-def _divisors_of_columns(cols: Sequence[Sequence[int]], m: int) -> list[int]:
-    rows = [[col[i] for col in cols] for i in range(m)]
-    return _chain_fix(_diagonalize(rows))
-
-
 def smith_divisors(mat: IntMatrix) -> ElementaryDivisors:
     """Elementary divisors e_1 | ... | e_rank of an integer matrix."""
     rows = [list(row) for row in mat.entries]
@@ -182,38 +180,66 @@ def column_submatrix(mat: IntMatrix, indices: Iterable[int]) -> IntMatrix:
     return IntMatrix(tuple(tuple(row[j - 1] for j in J) for row in mat.entries))
 
 
-@lru_cache(maxsize=64)
-def _exact_lcm_period(mat: IntMatrix) -> int:
-    cols = mat.columns()
-    m, n = mat.rows, mat.cols
-    full_rank = len(_divisors_of_columns(cols, m))
-    acc = 1
+def _hnf_add(
+    basis: tuple[tuple[int, ...], ...], vec: Sequence[int]
+) -> tuple[tuple[int, ...], ...]:
+    """Canonical row Hermite normal form of the lattice of basis plus vec.
 
-    def extend(chosen: tuple[tuple[int, ...], ...], start: int) -> None:
-        nonlocal acc
-        for j in range(start, n):
-            sub = chosen + (cols[j],)
-            divs = _divisors_of_columns(sub, m)
-            last = divs[-1]
-            if last > 1 and acc % last:
-                acc = math.lcm(acc, last)
-            # Supersets of a full-rank subset with unit divisors also have
-            # unit divisors; skip the whole subtree.
-            if len(divs) < full_rank or last > 1:
-                extend(sub, j + 1)
+    A basis is m rows of length m: row p is zero or has a positive pivot at
+    column p, and the entries above each pivot lie in [0, pivot).  The
+    result has the same form, so equal lattices give equal tuples.
+    """
+    rows = [list(r) for r in basis]
+    v = list(vec)
+    for p, r in enumerate(rows):
+        # Euclid on row p and v at column p; a zero row simply takes v.
+        while v[p]:
+            k = r[p] // v[p]
+            r, v = v, [a - k * b for a, b in zip(r, v)]
+        rows[p] = r if r[p] >= 0 else [-x for x in r]
+    for p, r in enumerate(rows):
+        if r[p]:
+            for above in rows[:p]:
+                k = above[p] // r[p]
+                for j in range(p, len(r)):
+                    above[j] -= k * r[j]
+    return tuple(tuple(r) for r in rows)
 
-    extend((), 0)
-    return acc
+
+@lru_cache(maxsize=16)
+def _lattice_table(mat: IntMatrix, cap: int) -> tuple[tuple[int, tuple[int, ...]], ...]:
+    """(signed count, elementary divisors) of every lattice L_J.
+
+    Covers the column subsets J with |J| <= cap, the empty one included
+    (count 1, no divisors).  While it is built each lattice also keeps its
+    smallest |J|, and one whose smallest |J| has reached cap is not
+    extended, so the table holds exactly the lattices with smallest
+    |J| <= cap.  The signed counts sum (-1)^|J| over all J of a lattice
+    only when cap = n.  Lattices whose count cancels to 0 stay, because
+    the lcm period ranges over every subset.
+    """
+    table = {((0,) * mat.rows,) * mat.rows: (1, 0)}
+    for col in mat.columns():
+        grown = dict(table)
+        for basis, (count, size) in table.items():
+            if size < cap:
+                key = _hnf_add(basis, col)
+                prev, least = grown.get(key, (0, size + 1))
+                grown[key] = (prev - count, min(least, size + 1))
+        table = grown
+    return tuple(
+        (count, tuple(_chain_fix(_diagonalize([list(r) for r in basis]))))
+        for basis, (count, _) in table.items()
+    )
 
 
 def lcm_period(mat: IntMatrix, max_subset_size: int | None = None) -> PeriodResult:
     """lcm of the last elementary divisor over column subsets of the matrix.
 
-    Without a cap this enumerates all nonempty subsets and is exact; it
+    Without a cap this covers all nonempty subsets and is exact; it
     refuses matrices with more than FULL_ENUMERATION_LIMIT columns.  With
-    max_subset_size = c the enumeration runs over subsets of size <= c in
-    increasing size and the result is only a lower bound (a divisor of the
-    true period) unless c >= n.
+    max_subset_size = c it covers the subsets of size <= c and the result
+    is only a lower bound (a divisor of the true period) unless c >= n.
     """
     n = mat.cols
     if max_subset_size is None:
@@ -222,23 +248,13 @@ def lcm_period(mat: IntMatrix, max_subset_size: int | None = None) -> PeriodResu
                 f"too many columns for full enumeration: {n} > "
                 f"{FULL_ENUMERATION_LIMIT}; pass max_subset_size for a lower bound"
             )
-        return PeriodResult(_exact_lcm_period(mat), True)
-    cap = operator.index(max_subset_size)
-    if cap < 1:
-        raise ValueError("max_subset_size must be >= 1")
-    if cap >= n:
-        if n <= FULL_ENUMERATION_LIMIT:
-            return PeriodResult(_exact_lcm_period(mat), True)
         cap = n
-    cols = mat.columns()
-    m = mat.rows
-    acc = 1
-    for size in range(1, cap + 1):
-        for sub in combinations(cols, size):
-            last = _divisors_of_columns(sub, m)[-1]
-            if last > 1 and acc % last:
-                acc = math.lcm(acc, last)
-    return PeriodResult(acc, cap >= n)
+    else:
+        cap = operator.index(max_subset_size)
+        if cap < 1:
+            raise ValueError("max_subset_size must be >= 1")
+    table = _lattice_table(mat, min(cap, n))
+    return PeriodResult(math.lcm(*(divs[-1] for _, divs in table if divs)), cap >= n)
 
 
 def known_period(spec: DeformSpec, family: str) -> int:

@@ -52,6 +52,35 @@ def int_matrices(draw, max_rows: int = 3, max_cols: int = 5, max_abs: int = 3):
     return IntMatrix.from_columns(draw(st.lists(column, min_size=n, max_size=n)))
 
 
+# Inputs at the edges of the subset and lattice code, each (id, matrix).
+EDGE_MATRICES = [
+    ("m1", IntMatrix(((2, -3, 6, 4),))),
+    ("repeated", IntMatrix.from_columns([(1, 0), (1, 1), (1, 0), (1, -1), (1, 1)])),
+    ("parallel", IntMatrix.from_columns([(1, 2), (-1, -2), (2, 4), (0, 1)])),
+    # Its lattice Z(0, 1) is first met as {(0,-3), (0,-1)}, later alone as
+    # {(0,-1)}; a cap of 2 must still extend it by (-2,-1).
+    (
+        "parallel_late",
+        IntMatrix.from_columns([(0, -3), (-3, -1), (0, -1), (0, 3), (-2, -1)]),
+    ),
+    (
+        "non_primitive",
+        IntMatrix.from_columns([(2, 0, 0), (0, 4, 2), (6, 6, 0), (3, 0, 3)]),
+    ),
+    (
+        "rank_deficient",
+        IntMatrix.from_columns([(1, 1, 0), (0, 1, 1), (1, 2, 1), (2, 0, -2)]),
+    ),
+    ("rank_one", IntMatrix.from_columns([(1, -2, 3), (-2, 4, -6), (3, -6, 9)])),
+    (
+        "huge",
+        IntMatrix.from_columns(
+            [(2**63, 1), (1, 2**64 + 3), (2**63 + 1, -1), (3 * 2**70, 6)]
+        ),
+    ),
+]
+
+
 def random_divisor(rng: random.Random, value: int) -> int:
     return rng.choice([d for d in range(1, value + 1) if value % d == 0])
 

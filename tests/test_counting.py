@@ -26,12 +26,14 @@ from charquasi import (
     gen_deform_a,
     gen_deform_d,
     interpolate_quasi,
+    lcm_period,
     snf_count,
     verify_minimum_period,
 )
 from charquasi.counting import _count_numpy, _count_python, _lagrange_integer_poly
+from charquasi.intlinalg import _lattice_table
 
-from conftest import int_matrices
+from conftest import EDGE_MATRICES, int_matrices
 
 
 class TestPolynomial:
@@ -188,6 +190,24 @@ class TestSnfCount:
     @settings(max_examples=150, deadline=None)
     def test_matches_brute_force(self, mat, q):
         assert snf_count(mat, q) == brute_force_count(mat, q)
+
+    @pytest.mark.parametrize(
+        "mat", [m for _, m in EDGE_MATRICES], ids=[i for i, _ in EDGE_MATRICES]
+    )
+    def test_edge_inputs_match_brute_force(self, mat):
+        for q in range(1, 13):
+            assert snf_count(mat, q) == brute_force_count(mat, q)
+
+    def test_one_lattice_table_per_matrix(self):
+        # The uncapped period, every modulus and an over-wide cap all read
+        # the same cached table, so it is built exactly once.
+        mat = gen_deform_d(DeformSpec(3, (6, 3), 1))
+        _lattice_table.cache_clear()
+        lcm_period(mat)
+        for q in range(1, 13):
+            snf_count(mat, q)
+        lcm_period(mat, mat.cols + 3)
+        assert _lattice_table.cache_info().misses == 1
 
 
 class TestInterpolation:

@@ -30,8 +30,9 @@ from charquasi import (
     lcm_period,
     smith_divisors,
 )
+from charquasi.intlinalg import _lattice_table
 
-from conftest import int_matrices
+from conftest import EDGE_MATRICES, int_matrices
 
 
 def _det(rows):
@@ -56,9 +57,9 @@ def _minor_gcd(mat: IntMatrix, k: int) -> int:
     return acc
 
 
-def _naive_lcm_period(mat: IntMatrix) -> int:
+def _naive_lcm_period(mat: IntMatrix, cap: int | None = None) -> int:
     acc = 1
-    for size in range(1, mat.cols + 1):
+    for size in range(1, min(cap or mat.cols, mat.cols) + 1):
         for J in combinations(range(1, mat.cols + 1), size):
             divs = smith_divisors(column_submatrix(mat, J)).divisors
             acc = math.lcm(acc, divs[-1])
@@ -211,6 +212,30 @@ class TestLcmPeriod:
     @settings(max_examples=75, deadline=None)
     def test_pruned_dfs_matches_naive_enumeration(self, mat):
         assert lcm_period(mat).value == _naive_lcm_period(mat)
+
+    @staticmethod
+    def _check_every_cap(mat):
+        assert lcm_period(mat) == PeriodResult(_naive_lcm_period(mat), True)
+        for cap in range(1, mat.cols + 2):
+            want = PeriodResult(_naive_lcm_period(mat, cap), cap >= mat.cols)
+            assert lcm_period(mat, cap) == want
+
+    @given(int_matrices(max_rows=3, max_cols=6))
+    @settings(max_examples=50, deadline=None)
+    def test_every_cap_matches_naive_enumeration(self, mat):
+        self._check_every_cap(mat)
+
+    @pytest.mark.parametrize(
+        "mat", [m for _, m in EDGE_MATRICES], ids=[i for i, _ in EDGE_MATRICES]
+    )
+    def test_edge_inputs_match_naive_enumeration(self, mat):
+        self._check_every_cap(mat)
+
+    def test_one_table_entry_per_lattice(self):
+        # B2 spans 7 lattices: 0, four lines, Z^2 and the index-2 lattice
+        # of e1 - e2, e1 + e2.  D5 spans 428.
+        assert len(_lattice_table(gen_coxeter("B", 2), 4)) == 7
+        assert len(_lattice_table(gen_coxeter("D", 5), 20)) == 428
 
     def test_divides_relation_with_cap(self):
         mat = gen_deform_d(DeformSpec(3, (6, 3), 1))
