@@ -7,10 +7,12 @@ For an m x n normal matrix S and a modulus q >= 1 the object counted is
 whose size is a monic quasi-polynomial in q of degree m.  This module holds
 the two generic counters plus exact interpolation:
 
-  * brute_force_count: literal enumeration of all q^m points.  Fast path
-    uses 64-bit vectorized arithmetic when products cannot overflow a
-    machine word; otherwise a plain-integer loop with per-point short
-    circuit takes over, so results are exact for any entry size.
+  * brute_force_count: literal enumeration of all q^m points by one numpy
+    kernel.  Entries are reduced mod q as Python integers first, so any
+    entry size is exact; residue vectors x . S mod q are then built
+    coordinate by coordinate, a table for the last coordinates joined to
+    blocks of prefix points, in the narrowest unsigned dtype that holds
+    q - 1 and in memory bounded by the chunk size whatever q^m is.
   * snf_count: inclusion-exclusion over column subsets J,
         |M_S(q)| = sum_J (-1)^|J| q^(m - l(J)) prod_i gcd(e_{J,i}, q),
     where e_{J,i} are the elementary divisors of the column submatrix and
@@ -42,8 +44,9 @@ from .intlinalg import FULL_ENUMERATION_LIMIT, _lattice_table
 
 DEFAULT_POINT_BUDGET = 10**8
 _CHUNK = 1 << 16
-# Keep x . s_j comfortably inside int64: m * (q-1) * max|entry| < 2^62.
-_INT64_SAFE = 1 << 62
+# Residues and coordinates stay below q, so every product x * (s mod q) is
+# below q^2 and fits int64 with room for one more residue when q < 2^31.
+_MAX_MODULUS = 1 << 31
 
 
 @dataclass(frozen=True)
@@ -196,52 +199,51 @@ class QuasiPolynomial:
         return self.constituent(q)(q)
 
 
-def _count_numpy(mat: IntMatrix, q: int) -> int:
-    S = np.array(mat.entries, dtype=np.int64)
-    m = mat.rows
-    total = q**m
-    strides = q ** np.arange(m - 1, -1, -1, dtype=np.int64)
-    count = 0
-    for lo in range(0, total, _CHUNK):
-        idx = np.arange(lo, min(lo + _CHUNK, total), dtype=np.int64)
-        points = (idx[:, None] // strides) % q
-        residues = (points @ S) % q
-        count += int((residues != 0).all(axis=1).sum())
-    return count
-
-
-def _count_python(mat: IntMatrix, q: int) -> int:
-    cols = mat.columns()
-    count = 0
-    for x in product(range(q), repeat=mat.rows):
-        for col in cols:
-            if sum(a * b for a, b in zip(x, col)) % q == 0:
-                break
-        else:
-            count += 1
-    return count
-
-
 def brute_force_count(mat: IntMatrix, q: int, budget: int = DEFAULT_POINT_BUDGET) -> int:
     """|M_S(q)| by enumerating all q^m points.
 
-    Raises BudgetExceeded when q^m exceeds the point budget.  q = 1 always
-    gives 0: every product is 0 mod 1 and the matrix has at least one column.
+    Raises BudgetExceeded when q^m exceeds the point budget, and for any
+    q >= 2^31 whatever the budget.  q = 1 always gives 0: every product is
+    0 mod 1 and the matrix has at least one column.
     """
     q = operator.index(q)
     if q < 1:
         raise ValueError("modulus q must be >= 1")
-    points = q**mat.rows
-    if points > budget:
+    if q >= _MAX_MODULUS:
+        raise BudgetExceeded(f"modulus {q} >= 2^31 overflows int64; no budget lifts it")
+    m, n = mat.rows, mat.cols
+    if q**m > budget:
         raise BudgetExceeded(
-            f"{q}^{mat.rows} = {points} points exceed the budget of {budget}"
+            f"{q}^{m} = {q**m} points exceed the budget of {budget}; raise it with "
+            "the budget= argument of brute_force_count or interpolate_quasi"
         )
     if q == 1:
         return 0
-    max_entry = max(abs(v) for row in mat.entries for v in row)
-    if mat.rows * (q - 1) * max_entry < _INT64_SAFE:
-        return _count_numpy(mat, q)
-    return _count_python(mat, q)
+    rows = np.array([[v % q for v in row] for row in mat.entries], dtype=np.int64)
+    # Residue vectors (one per column) of every point of the last k < m
+    # coordinates, with k as large as q^k <= _CHUNK allows.
+    table, k = np.zeros((n, 1), np.int64), 0
+    while k < m - 1 and table.shape[1] * q <= _CHUNK:
+        k += 1
+        table = (table[:, :, None] + rows[-k][:, None, None] * np.arange(q)) % q
+        table = table.reshape(n, -1)
+    dtype = np.min_scalar_type(q - 1)
+    table = table.astype(dtype)
+    # Prefix points: the outer coordinates one tuple at a time, the last
+    # prefix coordinate in slices, so a block joins at most _CHUNK points.
+    *outer, last = rows[: m - k]
+    size = max(1, _CHUNK // table.shape[1])
+    count = 0
+    for xs in product(range(q), repeat=len(outer)):
+        base = np.zeros(n, np.int64)
+        for x, row in zip(xs, outer):
+            base = (base + x * row) % q
+        for lo in range(0, q, size):
+            xs_last = np.arange(lo, min(lo + size, q))
+            # Prefix p and suffix t give p + t != 0 exactly when t != -p (mod q).
+            neg = (-(base[:, None] + last[:, None] * xs_last) % q).astype(dtype)
+            count += int((table[:, None, :] != neg[:, :, None]).all(axis=0).sum())
+    return count
 
 
 def snf_count(

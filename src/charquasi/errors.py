@@ -36,7 +36,11 @@ class TooManyColumns(CharQuasiError):
 
 
 class BudgetExceeded(CharQuasiError):
-    """Point enumeration would exceed the configured budget."""
+    """Point enumeration would exceed the configured budget.
+
+    The budget= argument of brute_force_count and interpolate_quasi lifts
+    it; moduli q >= 2^31 are refused whatever the budget.
+    """
 
 
 class NotIntegral(CharQuasiError):

@@ -1,13 +1,16 @@
 """Counters, polynomial types, interpolation and period predicates.
 
 brute_force_count is the ground truth by definition (it enumerates the
-counted set literally), so everything else is measured against it; the
-numpy fast path and the plain-integer fallback are additionally measured
-against each other.
+counted set literally), so everything else is measured against it; its
+numpy kernel is additionally measured against _plain_count, a plain-integer
+loop over the same points kept here as its oracle.
 """
 
+import math
+from itertools import product
+
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from charquasi import (
@@ -30,10 +33,23 @@ from charquasi import (
     snf_count,
     verify_minimum_period,
 )
-from charquasi.counting import _count_numpy, _count_python, _lagrange_integer_poly
+from charquasi.counting import _CHUNK, _lagrange_integer_poly
 from charquasi.intlinalg import _lattice_table
 
 from conftest import EDGE_MATRICES, int_matrices
+
+
+def _plain_count(mat: IntMatrix, q: int) -> int:
+    """|M_S(q)| by a plain-integer loop over the points, short-circuiting per point."""
+    cols = mat.columns()
+    count = 0
+    for x in product(range(q), repeat=mat.rows):
+        for col in cols:
+            if sum(a * b for a, b in zip(x, col)) % q == 0:
+                break
+        else:
+            count += 1
+    return count
 
 
 class TestPolynomial:
@@ -153,10 +169,49 @@ class TestBruteForce:
         small = IntMatrix(((1, 1), (1, -1)))  # same residues mod 5
         assert brute_force_count(mat, 5) == brute_force_count(small, 5)
 
-    @given(int_matrices(), st.integers(2, 9))
+    @given(int_matrices(), st.sampled_from([*range(2, 10), 255, 256, 257]))
     @settings(max_examples=100, deadline=None)
     def test_fast_path_matches_plain_loop(self, mat, q):
-        assert _count_numpy(mat, q) == _count_python(mat, q)
+        # 255..257 cross the uint8/uint16 residue boundary; the plain loop
+        # enumerates them only for m <= 2.
+        assume(q <= 9 or mat.rows <= 2)
+        assert brute_force_count(mat, q) == _plain_count(mat, q)
+
+    @pytest.mark.parametrize("q", [65535, 65536, 65537, 3 * _CHUNK + 5])
+    def test_one_coordinate_matches_closed_form(self, q):
+        # x * s = 0 mod q for exactly gcd(s, q) residues x.  65535..65537
+        # cross the uint16/uint32 boundary; q > _CHUNK enumerates the one
+        # coordinate in slices.
+        for s in (1, 2, 6, 255, 256, q - 1, q, 2 * q, 2**64 + 6):
+            assert brute_force_count(IntMatrix(((s,),)), q) == q - math.gcd(s, q)
+
+    def test_refuses_modulus_from_2_31_at_any_budget(self):
+        mat = IntMatrix(((1,),))
+        for q in (2**31, 2**31 + 1, 2**64):
+            with pytest.raises(BudgetExceeded, match="no budget lifts it"):
+                brute_force_count(mat, q, budget=10**30)
+        with pytest.raises(BudgetExceeded, match="budget="):
+            brute_force_count(mat, 2**31 - 1, budget=10)
+
+    def test_budget_message_names_the_setting(self):
+        with pytest.raises(BudgetExceeded) as exc:
+            brute_force_count(gen_coxeter("B", 2), 7, budget=48)
+        text = str(exc.value)
+        assert "7^2 = 49 points" in text
+        for name in ("budget=", "brute_force_count", "interpolate_quasi"):
+            assert name in text
+
+    @pytest.mark.parametrize(
+        "mat", [m for _, m in EDGE_MATRICES], ids=[i for i, _ in EDGE_MATRICES]
+    )
+    def test_edge_inputs_match_plain_loop_and_snf(self, mat):
+        # 257 is the first modulus whose residues need uint16.  The plain
+        # loop is too slow for the 257^3 points of the m = 3 inputs.
+        for q in [*range(2, 13), 257]:
+            want = snf_count(mat, q)
+            assert brute_force_count(mat, q) == want, q
+            if q**mat.rows <= 257**2:
+                assert _plain_count(mat, q) == want, q
 
 
 class TestSnfCount:

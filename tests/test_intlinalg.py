@@ -210,7 +210,7 @@ class TestLcmPeriod:
 
     @given(int_matrices(max_rows=3, max_cols=5))
     @settings(max_examples=75, deadline=None)
-    def test_pruned_dfs_matches_naive_enumeration(self, mat):
+    def test_lattice_table_matches_naive_enumeration(self, mat):
         assert lcm_period(mat).value == _naive_lcm_period(mat)
 
     @staticmethod
