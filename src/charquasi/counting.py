@@ -22,7 +22,7 @@ the two generic counters plus exact interpolation:
     signed subset count, not over the 2^n subsets.
   * interpolate_quasi: exact Lagrange interpolation (Fraction arithmetic)
     of one degree-m constituent per residue class mod a given period, from
-    m + 1 counted samples per class.
+    m + 1 brute-force counts per class.
 
 Polynomial and QuasiPolynomial are the exact result types shared with the
 closed-form module.
@@ -246,23 +246,22 @@ def brute_force_count(mat: IntMatrix, q: int, budget: int = DEFAULT_POINT_BUDGET
     return count
 
 
-def snf_count(
-    mat: IntMatrix, q: int, column_limit: int = FULL_ENUMERATION_LIMIT
-) -> int:
+def snf_count(mat: IntMatrix, q: int) -> int:
     """|M_S(q)| by inclusion-exclusion over the elementary divisor data.
 
     Sums one term per distinct column lattice (built once per matrix and
-    cached, shared with lcm_period).  Matrices wider than column_limit are
-    refused; the limit is a policy, the cost grows with the lattice count.
-    Agreement with brute_force_count for all q is the core cross-check of
-    the package.
+    cached, shared with lcm_period).  Matrices wider than
+    FULL_ENUMERATION_LIMIT are refused; the limit is a policy, the cost
+    grows with the lattice count.  Agreement with brute_force_count for all
+    q is the core cross-check of the package.
     """
     q = operator.index(q)
     if q < 1:
         raise ValueError("modulus q must be >= 1")
-    if mat.cols > column_limit:
+    if mat.cols > FULL_ENUMERATION_LIMIT:
         raise TooManyColumns(
-            f"too many columns for inclusion-exclusion: {mat.cols} > {column_limit}"
+            f"too many columns for inclusion-exclusion: {mat.cols} > "
+            f"{FULL_ENUMERATION_LIMIT}; brute_force_count has no column limit"
         )
     m = mat.rows
     total = 0
@@ -300,36 +299,25 @@ def _lagrange_integer_poly(xs: list[int], ys: list[int]) -> Polynomial:
 
 
 def interpolate_quasi(
-    mat: IntMatrix,
-    period: int,
-    counter: str = "brute",
-    budget: int = DEFAULT_POINT_BUDGET,
+    mat: IntMatrix, period: int, budget: int = DEFAULT_POINT_BUDGET
 ) -> QuasiPolynomial:
     """Interpolate the quasi-polynomial of the matrix for a given period.
 
     Per residue class k in 1..period the first m + 1 sample moduli
-    q = k + period*j with q >= 2 are counted (counter: "brute" or "snf")
-    and interpolated exactly.  A wrong period surfaces as NotIntegral or
-    NotMonic, never as a silently wrong result.
+    q = k + period*j with q >= 2 are counted by brute_force_count (each
+    within budget) and interpolated exactly.  A wrong period surfaces as
+    NotIntegral or NotMonic, never as a silently wrong result.
     """
     period = operator.index(period)
     if period < 1:
         raise ValueError("period must be >= 1")
-    if counter == "brute":
-        def count(q: int) -> int:
-            return brute_force_count(mat, q, budget)
-    elif counter == "snf":
-        def count(q: int) -> int:
-            return snf_count(mat, q)
-    else:
-        raise ValueError(f"unknown counter {counter!r}, expected 'brute' or 'snf'")
     m = mat.rows
     constituents = []
     for k in range(1, period + 1):
         # Smallest sample modulus >= 2 in the class, then m more steps of rho.
         first = k if k >= 2 else 1 + period
         xs = [first + period * j for j in range(m + 1)]
-        ys = [count(x) for x in xs]
+        ys = [brute_force_count(mat, x, budget) for x in xs]
         poly = _lagrange_integer_poly(xs, ys)
         if poly.degree != m or not poly.is_monic:
             raise NotMonic(

@@ -1,11 +1,14 @@
 """Exact integer linear algebra: elementary divisors and lcm periods.
 
 All arithmetic uses Python integers, so nothing here overflows or rounds.
-Elementary divisors are computed by gcd-driven row and column elimination
-(smallest-absolute-value pivot), which keeps intermediate entries small,
-followed by a pairwise gcd/lcm pass that restores the divisibility chain;
-diag(a, b) and diag(gcd(a, b), lcm(a, b)) are equivalent under unimodular
-operations, so that pass preserves the divisor multiset.
+One elimination routine, _hnf_add, does all the work: it adds a vector to
+the canonical row Hermite normal form of a lattice.  Elementary divisors
+come from that form by alternating row and column Hermite forms (after
+Kannan and Bachem) until every pivot divides its row; the pivots are then
+an equivalent diagonal, and a pairwise gcd/lcm pass restores the
+divisibility chain (diag(a, b) and diag(gcd(a, b), lcm(a, b)) are
+equivalent under unimodular operations, so it preserves the divisor
+multiset).
 
 The lcm period of a normal matrix S is
 
@@ -27,7 +30,7 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
 from typing import Iterable, NamedTuple, Sequence
 
 from .arrangements import DeformSpec, IntMatrix
@@ -64,85 +67,6 @@ class PeriodResult(NamedTuple):
     exact: bool
 
 
-def _diagonalize(rows: list[list[int]]) -> list[int]:
-    """Reduce to an equivalent diagonal in place; return the nonzero diagonal.
-
-    The diagonal entries are positive but not yet chained.
-    """
-    m, n = len(rows), len(rows[0])
-    stop = min(m, n)
-    diag: list[int] = []
-    p = 0
-    while p < stop:
-        # Smallest nonzero absolute value in the active block becomes pivot.
-        best, bi, bj = 0, -1, -1
-        for i in range(p, m):
-            row = rows[i]
-            for j in range(p, n):
-                v = row[j]
-                if v:
-                    if v < 0:
-                        v = -v
-                    if best == 0 or v < best:
-                        best, bi, bj = v, i, j
-                        if v == 1:
-                            break
-            if best == 1:
-                break
-        if bi < 0:
-            break
-        if bi != p:
-            rows[p], rows[bi] = rows[bi], rows[p]
-        if bj != p:
-            for row in rows:
-                row[p], row[bj] = row[bj], row[p]
-        if rows[p][p] < 0:
-            rp = rows[p]
-            for j in range(p, n):
-                rp[j] = -rp[j]
-        while True:
-            restart = False
-            rp = rows[p]
-            a = rp[p]
-            for i in range(p + 1, m):
-                ri = rows[i]
-                v = ri[p]
-                if not v:
-                    continue
-                k = v // a
-                if k:
-                    for j in range(p, n):
-                        ri[j] -= k * rp[j]
-                if ri[p]:
-                    # 0 < remainder < a: promote it to the pivot and redo.
-                    rows[p], rows[i] = ri, rp
-                    restart = True
-                    break
-            if restart:
-                continue
-            rp = rows[p]
-            a = rp[p]
-            for j in range(p + 1, n):
-                w = rp[j]
-                if not w:
-                    continue
-                k = w // a
-                if k:
-                    for ri in rows:
-                        ri[j] -= k * ri[p]
-                if rp[j]:
-                    for ri in rows:
-                        ri[p], ri[j] = ri[j], ri[p]
-                    restart = True
-                    break
-            if restart:
-                continue
-            break
-        diag.append(rows[p][p])
-        p += 1
-    return diag
-
-
 def _chain_fix(diag: Iterable[int]) -> list[int]:
     """Turn a positive diagonal into the chained elementary divisors.
 
@@ -160,8 +84,7 @@ def _chain_fix(diag: Iterable[int]) -> list[int]:
 
 def smith_divisors(mat: IntMatrix) -> ElementaryDivisors:
     """Elementary divisors e_1 | ... | e_rank of an integer matrix."""
-    rows = [list(row) for row in mat.entries]
-    return ElementaryDivisors(tuple(_chain_fix(_diagonalize(rows))))
+    return ElementaryDivisors(_basis_divisors(_span(mat.rows, mat.columns())))
 
 
 def column_submatrix(mat: IntMatrix, indices: Iterable[int]) -> IntMatrix:
@@ -206,6 +129,29 @@ def _hnf_add(
     return tuple(tuple(r) for r in rows)
 
 
+def _span(m: int, vectors: Iterable[Sequence[int]]) -> tuple[tuple[int, ...], ...]:
+    """Canonical row Hermite normal form of the lattice the vectors span in Z^m."""
+    return reduce(_hnf_add, vectors, ((0,) * m,) * m)
+
+
+def _basis_divisors(basis: tuple[tuple[int, ...], ...]) -> tuple[int, ...]:
+    """Elementary divisors of the lattice of a row Hermite normal form.
+
+    Once every nonzero pivot divides the entries to its right in its row,
+    column operations alone clear those entries (top row first; rows with
+    a zero pivot are zero), so the nonzero pivots are an equivalent
+    diagonal.  Until then the basis is replaced by the Hermite form of its
+    columns, an equivalent matrix (the transpose times a unimodular one).
+    That ends: the first unsettled pivot drops to the gcd of its row each
+    round, and a settled pivot becomes isolated, its row and column zero
+    apart from itself, and stays so.
+    """
+    m = len(basis)
+    while any(r[p] and any(v % r[p] for v in r[p + 1 :]) for p, r in enumerate(basis)):
+        basis = _span(m, zip(*basis))
+    return tuple(_chain_fix(r[p] for p, r in enumerate(basis) if r[p]))
+
+
 @lru_cache(maxsize=16)
 def _lattice_table(mat: IntMatrix, cap: int) -> tuple[tuple[int, tuple[int, ...]], ...]:
     """(signed count, elementary divisors) of every lattice L_J.
@@ -218,7 +164,7 @@ def _lattice_table(mat: IntMatrix, cap: int) -> tuple[tuple[int, tuple[int, ...]
     only when cap = n.  Lattices whose count cancels to 0 stay, because
     the lcm period ranges over every subset.
     """
-    table = {((0,) * mat.rows,) * mat.rows: (1, 0)}
+    table = {_span(mat.rows, ()): (1, 0)}
     for col in mat.columns():
         grown = dict(table)
         for basis, (count, size) in table.items():
@@ -227,10 +173,7 @@ def _lattice_table(mat: IntMatrix, cap: int) -> tuple[tuple[int, tuple[int, ...]
                 prev, least = grown.get(key, (0, size + 1))
                 grown[key] = (prev - count, min(least, size + 1))
         table = grown
-    return tuple(
-        (count, tuple(_chain_fix(_diagonalize([list(r) for r in basis]))))
-        for basis, (count, _) in table.items()
-    )
+    return tuple((count, _basis_divisors(basis)) for basis, (count, _) in table.items())
 
 
 def lcm_period(mat: IntMatrix, max_subset_size: int | None = None) -> PeriodResult:

@@ -30,7 +30,7 @@ from charquasi import (
     lcm_period,
     smith_divisors,
 )
-from charquasi.intlinalg import _lattice_table
+from charquasi.intlinalg import _lattice_table, _span
 
 from conftest import EDGE_MATRICES, int_matrices
 
@@ -109,9 +109,23 @@ class TestSmithDivisors:
         assert 1 <= len(divs) <= min(mat.rows, mat.cols)
         assert all(b % a == 0 for a, b in zip(divs, divs[1:]))
 
-    @given(int_matrices())
-    @settings(max_examples=150, deadline=None)
-    def test_determinantal_divisor_identity(self, mat):
+    # Each basis is a Hermite form with a pivot that does not divide its
+    # row, so the matrix with these columns needs a round on the columns.
+    @pytest.mark.parametrize(
+        "basis, want",
+        [
+            (((2, 1), (0, 2)), (1, 4)),
+            (((6, 4), (0, 6)), (2, 18)),
+            (((2, 1, 0), (0, 2, 1), (0, 0, 2)), (1, 1, 8)),
+        ],
+    )
+    def test_column_rounds(self, basis, want):
+        assert _span(len(basis), basis) == basis
+        assert smith_divisors(IntMatrix.from_columns(basis)).divisors == want
+        assert smith_divisors(IntMatrix(basis)).divisors == want
+
+    @staticmethod
+    def _check_determinantal_divisors(mat):
         divs = smith_divisors(mat).divisors
         partial = 1
         for k in range(1, min(mat.rows, mat.cols) + 1):
@@ -121,6 +135,17 @@ class TestSmithDivisors:
                 assert gk == partial
             else:
                 assert gk == 0
+
+    @given(int_matrices())
+    @settings(max_examples=150, deadline=None)
+    def test_determinantal_divisor_identity(self, mat):
+        self._check_determinantal_divisors(mat)
+
+    @pytest.mark.parametrize(
+        "mat", [m for _, m in EDGE_MATRICES], ids=[i for i, _ in EDGE_MATRICES]
+    )
+    def test_edge_inputs_determinantal_divisors(self, mat):
+        self._check_determinantal_divisors(mat)
 
     @given(int_matrices(), st.data())
     def test_column_permutation_invariance(self, mat, data):
