@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 from dataclasses import dataclass, field
@@ -162,12 +163,15 @@ def _family_quasi(fs: FamilySpec) -> QuasiPolynomial:
         return chi_coxeter(fs.family, fs.m)
     rho = _family_period(fs)
     if fs.family == "Adeform":
-        spec = DeformSpec(fs.m, fs.s)
-        consts = tuple(chi_deform_a(spec, k) for k in range(1, rho + 1))
+        spec, chi = DeformSpec(fs.m, fs.s), chi_deform_a
     else:
-        spec = DeformSpec(fs.m, fs.s, fs.r)
-        consts = tuple(chi_deform_d(spec, k) for k in range(1, rho + 1))
-    return QuasiPolynomial(rho, consts)
+        spec, chi = DeformSpec(fs.m, fs.s, fs.r), chi_deform_d
+    # A constituent depends on k only through gcd(k, rho) (chi reduces k to
+    # it), so evaluate once per divisor of rho and share the result.
+    by_gcd = {g: chi(spec, g) for g in range(1, rho + 1) if rho % g == 0}
+    return QuasiPolynomial(
+        rho, tuple(by_gcd[math.gcd(k, rho)] for k in range(1, rho + 1))
+    )
 
 
 def _read_matrix(path: str) -> IntMatrix:
@@ -213,9 +217,11 @@ def cmd_quasi(args: argparse.Namespace) -> int:
             qp = interpolate_quasi(_build_matrix(fs), _family_period(fs))
     else:
         raise ValueError("need a matrix file or --family")
-    print(f"period {qp.period}")
-    for k in range(1, qp.period + 1):
-        print(f"k={k}: {qp.constituent(k)}")
+    # Closed forms repeat few distinct constituents; format each one once.
+    text = {poly: str(poly) for poly in set(qp.constituents)}
+    lines = [f"period {qp.period}"]
+    lines += (f"k={k}: {text[p]}" for k, p in enumerate(qp.constituents, 1))
+    sys.stdout.write("\n".join(lines) + "\n")
     return 0
 
 

@@ -26,6 +26,10 @@ the two generic counters plus exact interpolation:
 
 Polynomial and QuasiPolynomial are the exact result types shared with the
 closed-form module.
+
+numpy is loaded on the first brute_force_count call, not on import: lcm
+periods, snf_count and the closed forms never load it, so a process that
+only uses them starts without it.
 """
 
 from __future__ import annotations
@@ -35,8 +39,6 @@ import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
-
-import numpy as np
 
 from .arrangements import IntMatrix
 from .errors import BudgetExceeded, NotIntegral, NotMonic, TooManyColumns
@@ -219,6 +221,9 @@ def brute_force_count(mat: IntMatrix, q: int, budget: int = DEFAULT_POINT_BUDGET
         )
     if q == 1:
         return 0
+    # Loaded on first use: start-up, periods, SNF and closed forms never need it.
+    import numpy as np
+
     rows = np.array([[v % q for v in row] for row in mat.entries], dtype=np.int64)
     # Residue vectors (one per column) of every point of the last k < m
     # coordinates, with k as large as q^k <= _CHUNK allows.

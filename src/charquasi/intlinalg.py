@@ -189,7 +189,8 @@ def lcm_period(mat: IntMatrix, max_subset_size: int | None = None) -> PeriodResu
         if n > FULL_ENUMERATION_LIMIT:
             raise TooManyColumns(
                 f"too many columns for full enumeration: {n} > "
-                f"{FULL_ENUMERATION_LIMIT}; pass max_subset_size for a lower bound"
+                f"{FULL_ENUMERATION_LIMIT}; for a lower bound pass max_subset_size "
+                "(charquasi period --max-subset-size N on the command line)"
             )
         cap = n
     else:

@@ -1,12 +1,22 @@
 """CLI behavior: output formats, exit codes, method agreement."""
 
+import io
 import json
+import os
 import subprocess
 import sys
+from contextlib import redirect_stdout
+from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+import charquasi
+from charquasi import DeformSpec, chi_deform_a, chi_deform_d, known_period
 from charquasi.cli import main
+
+from conftest import random_chain_a, random_chain_d
 
 
 def run_cli(capsys, *argv):
@@ -233,6 +243,14 @@ class TestVerify:
         assert "verdict: fail" in out
 
 
+def _child_env() -> dict[str, str]:
+    """Environment whose PYTHONPATH finds the charquasi imported here first."""
+    env = dict(os.environ)
+    src = str(Path(charquasi.__file__).parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env
+
+
 class TestConsoleScript:
     def test_installed_entry_point(self):
         proc = subprocess.run(
@@ -240,6 +258,7 @@ class TestConsoleScript:
              "--m", "2", "--method", "closed-form"],
             capture_output=True,
             text=True,
+            env=_child_env(),
         )
         assert proc.returncode == 0
         assert proc.stdout == "period 2\nk=1: q^2 - 4*q + 3\nk=2: q^2 - 4*q + 4\n"
@@ -250,6 +269,78 @@ class TestConsoleScript:
              "--m", "1"],
             capture_output=True,
             text=True,
+            env=_child_env(),
         )
         assert proc.returncode == 2
         assert "empty arrangement" in proc.stderr
+
+
+_NUMPY_PROBE = """
+import json, sys
+import charquasi
+from charquasi.cli import main
+seen = {"import": "numpy" in sys.modules}
+main(["period", sys.argv[1]])
+main(["count", sys.argv[1], "--q", "5", "--method", "snf"])
+main(["quasi", "--family", "Ddeform", "--m", "4", "--s", "6,3,1", "--r", "1",
+      "--method", "closed-form"])
+seen["no_brute"] = "numpy" in sys.modules
+charquasi.brute_force_count(charquasi.gen_coxeter("B", 2), 5)
+seen["brute"] = "numpy" in sys.modules
+print(json.dumps(seen))
+"""
+
+
+class TestStartUp:
+    def test_numpy_loaded_only_by_brute_force(self, b2_file):
+        # numpy dominates start-up; only brute_force_count may load it.
+        proc = subprocess.run(
+            [sys.executable, "-c", _NUMPY_PROBE, b2_file],
+            capture_output=True,
+            text=True,
+            env=_child_env(),
+        )
+        assert proc.returncode == 0, proc.stderr
+        seen = json.loads(proc.stdout.splitlines()[-1])
+        assert seen == {"import": False, "no_brute": False, "brute": True}
+
+
+def _per_k_quasi_text(family: str, spec: DeformSpec) -> str:
+    """Oracle: one closed-form evaluation per residue class k in 1..rho."""
+    chi = chi_deform_a if family == "Adeform" else chi_deform_d
+    rho = known_period(spec, family)
+    lines = [f"period {rho}"]
+    lines += [f"k={k}: {chi(spec, k)}" for k in range(1, rho + 1)]
+    return "\n".join(lines) + "\n"
+
+
+def _closed_form_out(family: str, spec: DeformSpec) -> str:
+    argv = ["quasi", "--family", family, "--m", str(spec.m),
+            "--s", ",".join(map(str, spec.s)), "--method", "closed-form"]
+    if spec.r is not None:
+        argv += ["--r", str(spec.r)]
+    out = io.StringIO()
+    with redirect_stdout(out):
+        assert main(argv) == 0
+    return out.getvalue()
+
+
+@st.composite
+def _deform_cases(draw):
+    rng = draw(st.randoms(use_true_random=False))
+    if draw(st.booleans()):
+        s = random_chain_a(rng, max_t=3)
+        return "Adeform", DeformSpec(rng.randint(len(s), 4), s)
+    s, r = random_chain_d(rng, max_t=3)
+    return "Ddeform", DeformSpec(rng.randint(max(len(s), 2), 4), s, r)
+
+
+class TestClosedFormPerDivisor:
+    @given(_deform_cases())
+    @example(("Adeform", DeformSpec(3, (12, 6, 3))))
+    @example(("Ddeform", DeformSpec(4, (12, 6, 3, 1), 2)))
+    @example(("Ddeform", DeformSpec(3, (30, 15, 5), 1)))
+    @settings(max_examples=60, deadline=None)
+    def test_matches_per_k_evaluation(self, case):
+        family, spec = case
+        assert _closed_form_out(family, spec) == _per_k_quasi_text(family, spec)

@@ -229,8 +229,9 @@ class TestLcmPeriod:
 
     def test_too_many_columns(self):
         wide = IntMatrix((tuple([1] * 25),))
-        with pytest.raises(TooManyColumns):
+        with pytest.raises(TooManyColumns) as exc:
             lcm_period(wide)
+        assert "max_subset_size (charquasi period --max-subset-size N" in str(exc.value)
         assert lcm_period(wide, max_subset_size=2) == PeriodResult(1, False)
 
     @given(int_matrices(max_rows=3, max_cols=5))
