@@ -7,12 +7,11 @@ For an m x n normal matrix S and a modulus q >= 1 the object counted is
 whose size is a monic quasi-polynomial in q of degree m.  This module holds
 the two generic counters plus exact interpolation:
 
-  * brute_force_count: literal enumeration of all q^m points by one numpy
-    kernel.  Entries are reduced mod q as Python integers first, so any
-    entry size is exact; residue vectors x . S mod q are then built
-    coordinate by coordinate, a table for the last coordinates joined to
-    blocks of prefix points, in the narrowest unsigned dtype that holds
-    q - 1 and in memory bounded by the chunk size whatever q^m is.
+  * brute_force_count: literal enumeration of all q^m points in pure
+    Python integers.  The points of the last coordinates are the bits of
+    one int, and per column a table of masks (the block points of each
+    partial residue) decides them all against one prefix point with an OR
+    and a popcount, in memory bounded whatever q^m is.
   * snf_count: inclusion-exclusion over column subsets J,
         |M_S(q)| = sum_J (-1)^|J| q^(m - l(J)) prod_i gcd(e_{J,i}, q),
     where e_{J,i} are the elementary divisors of the column submatrix and
@@ -26,10 +25,6 @@ the two generic counters plus exact interpolation:
 
 Polynomial and QuasiPolynomial are the exact result types shared with the
 closed-form module.
-
-numpy is loaded on the first brute_force_count call, not on import: lcm
-periods, snf_count and the closed forms never load it, so a process that
-only uses them starts without it.
 """
 
 from __future__ import annotations
@@ -38,16 +33,18 @@ import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
+from functools import reduce
 
 from .arrangements import IntMatrix
 from .errors import BudgetExceeded, NotIntegral, NotMonic, TooManyColumns
 from .intlinalg import FULL_ENUMERATION_LIMIT, _lattice_table
 
 DEFAULT_POINT_BUDGET = 10**8
+_TABLE_BITS = 1 << 20
 _CHUNK = 1 << 16
-# Residues and coordinates stay below q, so every product x * (s mod q) is
-# below q^2 and fits int64 with room for one more residue when q < 2^31.
+# No mask grows with q (one-coordinate blocks are sliced), so this is a
+# policy: q >= 2^31 is at least 2^31 points, 21 times the default budget
+# even for m = 1, and snf_count counts such moduli exactly.
 _MAX_MODULUS = 1 << 31
 
 
@@ -202,7 +199,23 @@ class QuasiPolynomial:
 
 
 def brute_force_count(mat: IntMatrix, q: int, budget: int = DEFAULT_POINT_BUDGET) -> int:
-    """|M_S(q)| by enumerating all q^m points.
+    """|M_S(q)| by enumerating all q^m points, many per machine word.
+
+    Entries are reduced mod q as Python integers, so any entry size is
+    exact.  The last k coordinates form a block whose points are the bits
+    of one Python int; the top block coordinate may be cut into slices.
+    Column j has masks G_j[c]: the block points whose partial residue is c.
+    A prefix point with residues p_j rules out G_j[-p_j] for every j, so it
+    leaves the block size minus the popcount of their union; every point is
+    still decided one by one.
+
+    Memory is bounded whatever q^m is.  For k >= 2 (m >= 3 and q <= 724),
+    a column's table of q masks holds at most _TABLE_BITS = 2^20 bits, and
+    the tables of its lower coordinates at most as much again: 256 KiB per
+    column at most, shared by columns with equal or negated block entries.
+    A one-coordinate block (k = 1) builds no table: its masks are
+    progressions made per prefix point, in slices of at most _CHUNK = 2^16
+    bits.
 
     Raises BudgetExceeded when q^m exceeds the point budget, and for any
     q >= 2^31 whatever the budget.  q = 1 always gives 0: every product is
@@ -212,7 +225,10 @@ def brute_force_count(mat: IntMatrix, q: int, budget: int = DEFAULT_POINT_BUDGET
     if q < 1:
         raise ValueError("modulus q must be >= 1")
     if q >= _MAX_MODULUS:
-        raise BudgetExceeded(f"modulus {q} >= 2^31 overflows int64; no budget lifts it")
+        raise BudgetExceeded(
+            f"modulus {q} >= 2^31 is past brute-force enumeration; no budget "
+            "lifts it (snf_count has no modulus limit)"
+        )
     m, n = mat.rows, mat.cols
     if q**m > budget:
         raise BudgetExceeded(
@@ -221,34 +237,122 @@ def brute_force_count(mat: IntMatrix, q: int, budget: int = DEFAULT_POINT_BUDGET
         )
     if q == 1:
         return 0
-    # Loaded on first use: start-up, periods, SNF and closed forms never need it.
-    import numpy as np
-
-    rows = np.array([[v % q for v in row] for row in mat.entries], dtype=np.int64)
-    # Residue vectors (one per column) of every point of the last k < m
-    # coordinates, with k as large as q^k <= _CHUNK allows.
-    table, k = np.zeros((n, 1), np.int64), 0
-    while k < m - 1 and table.shape[1] * q <= _CHUNK:
+    rows = [[v % q for v in row] for row in mat.entries]
+    # k grows while a column table keeps at least two values of the top
+    # block coordinate; top is how many it keeps.
+    k, top = 1, min(q, _CHUNK)
+    while k < m - 1 and 2 * q ** (k + 1) <= _TABLE_BITS:
         k += 1
-        table = (table[:, :, None] + rows[-k][:, None, None] * np.arange(q)) % q
-        table = table.reshape(n, -1)
-    dtype = np.min_scalar_type(q - 1)
-    table = table.astype(dtype)
-    # Prefix points: the outer coordinates one tuple at a time, the last
-    # prefix coordinate in slices, so a block joins at most _CHUNK points.
-    *outer, last = rows[: m - k]
-    size = max(1, _CHUNK // table.shape[1])
+        top = min(q, _TABLE_BITS // q**k)
+    block = rows[m - k :]
+    if k == 1:
+        looks = [_Progression(s, q, top) for s in block[0]]
+    else:
+        # looks[j][p] = G_j[-p]; G_{-s}[c] = G_s[-c], so a negated column
+        # reads its partner's table in the other direction.
+        tables: dict[tuple[int, ...], list[int]] = {}
+        looks = []
+        for col in zip(*block):
+            neg = tuple(-v % q for v in col)
+            if neg in tables:
+                looks.append(tables[neg])
+                continue
+            if col not in tables:
+                tables[col] = _column_table(col, q, top, tables)
+            table = tables[col]
+            looks.append([table[-p % q] for p in range(q)])
+    # Each further slice of the top coordinate adds top * s_top to every
+    # residue; the last slice may be short.
+    step = [top * s % q for s in block[0]]
+    sizes = [min(top, q - lo) * q ** (k - 1) for lo in range(0, q, top)]
+    slices = [(size, (1 << size) - 1) for size in sizes]
     count = 0
-    for xs in product(range(q), repeat=len(outer)):
-        base = np.zeros(n, np.int64)
-        for x, row in zip(xs, outer):
-            base = (base + x * row) % q
-        for lo in range(0, q, size):
-            xs_last = np.arange(lo, min(lo + size, q))
-            # Prefix p and suffix t give p + t != 0 exactly when t != -p (mod q).
-            neg = (-(base[:, None] + last[:, None] * xs_last) % q).astype(dtype)
-            count += int((table[:, None, :] != neg[:, :, None]).all(axis=0).sum())
+    for res in _prefix_residues(rows[: m - k], q, n):
+        for i, (size, full) in enumerate(slices):
+            if i:
+                res = [(a + b) % q for a, b in zip(res, step)]
+            bad = reduce(operator.or_, map(operator.getitem, looks, res))
+            count += size - (bad & full).bit_count()
     return count
+
+
+def _prefix_residues(rows: list[list[int]], q: int, n: int):
+    """Residue vectors x . rows mod q for x in (Z/q)^len(rows), one live at a time."""
+    if not rows:
+        yield [0] * n
+        return
+    *outer, last = rows
+    for res in _prefix_residues(outer, q, n):
+        for _ in range(q):
+            yield res
+            res = [(a + b) % q for a, b in zip(res, last)]
+
+
+def _tile(pattern: int, width: int, total: int) -> int:
+    """The width-bit pattern repeated from bit 0 up, cut to total bits."""
+    while width < total:
+        pattern |= pattern << width
+        width *= 2
+    return pattern & ((1 << total) - 1)
+
+
+class _Progression:
+    """Masks G[-p] of a one-coordinate block [0, size), made on demand.
+
+    s * t = c (mod q) holds exactly on the progression x0 + span * i,
+    span = q / gcd(s, q), when gcd(s, q) divides c, so no q x q table is
+    needed.  Bits from size up may be set; the caller masks them off.
+    """
+
+    def __init__(self, s: int, q: int, size: int):
+        self.q, self.g = q, math.gcd(s, q)
+        self.span = q // self.g
+        self.inverse = pow(s // self.g, -1, self.span)
+        self.size = size
+        self.comb = _tile(1, self.span, size)
+
+    def __getitem__(self, p: int) -> int:
+        c = -p % self.q
+        if c % self.g:
+            return 0
+        x0 = c // self.g * self.inverse % self.span
+        return self.comb << x0 if x0 < self.size else 0
+
+
+def _column_table(
+    coeffs: tuple[int, ...], q: int, top: int, tables: dict[tuple[int, ...], list[int]]
+) -> list[int]:
+    """G[c] for c in Z/q: the block points whose partial residue is c.
+
+    The block spans coefficients coeffs, the first coordinate taking only
+    the values 0..top-1.  It is the block of coeffs[1:] (built through
+    tables, where columns share it) joined as the new most significant
+    digit y, block size B -> top * B: block y of G[c] is G_old[c - y * s],
+    so block y + 1 of G[c] is block y of G[c - s].  One start per coset of
+    <s> is built directly (its q / gcd(s, q) blocks tiled), the rest of the
+    coset by that shift: O(q) big-integer operations per coordinate.
+    """
+    if not coeffs:
+        return [1] + [0] * (q - 1)
+    s, rest = coeffs[0], coeffs[1:]
+    if rest not in tables:
+        tables[rest] = _column_table(rest, q, q, tables)
+    table, size = tables[rest], q ** len(rest)
+    g = math.gcd(s, q)
+    span = q // g
+    full = (1 << top * size) - 1
+    rows = min(span, top)
+    new = [0] * q
+    for c in range(g):
+        start = 0
+        for y in range(rows):
+            start |= table[(c - y * s) % q] << (y * size)
+        new[c] = _tile(start, span * size, top * size) if start else 0
+        for _ in range(span - 1):
+            nxt = (c + s) % q
+            new[nxt] = table[nxt] | ((new[c] << size) & full)
+            c = nxt
+    return new
 
 
 def snf_count(mat: IntMatrix, q: int) -> int:
@@ -334,15 +438,23 @@ def interpolate_quasi(
 
 
 def verify_minimum_period(qp: QuasiPolynomial) -> bool:
-    """True when no proper divisor of the period also works as a period."""
-    rho = qp.period
-    for d in range(1, rho):
-        if rho % d:
-            continue
-        if all(
-            qp.constituents[k] == qp.constituents[k % d] for k in range(rho)
-        ):
-            return False
+    """True when no proper divisor of the period also works as a period.
+
+    A multiple of a period d | rho that divides rho is again a period, so
+    it is enough to try rho / p for each prime p dividing rho.
+    """
+    rho, cs = qp.period, qp.constituents
+    rest, p = rho, 2
+    while rest > 1:
+        if p * p > rest:
+            p = rest
+        if rest % p == 0:
+            d = rho // p
+            if all(cs[k] == cs[k % d] for k in range(rho)):
+                return False
+            while rest % p == 0:
+                rest //= p
+        p += 1
     return True
 
 

@@ -3,6 +3,7 @@
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 from contextlib import redirect_stdout
@@ -290,10 +291,39 @@ seen["brute"] = "numpy" in sys.modules
 print(json.dumps(seen))
 """
 
+# numpy made unimportable before charquasi loads; every brute-force route
+# must still run and print the same bytes.
+_NO_NUMPY_PROBE = """
+import io, json, sys
+from contextlib import redirect_stdout
+sys.modules["numpy"] = None
+from charquasi.cli import main
+runs = []
+for argv in (
+    ["quasi", sys.argv[1], "--method", "interpolate"],
+    ["count", sys.argv[1], "--q", "5", "--method", "brute"],
+    ["verify", "--json", "--family", "B", "--m", "3", "--qmax", "7"],
+):
+    out = io.StringIO()
+    with redirect_stdout(out):
+        code = main(argv)
+    runs.append([code, out.getvalue()])
+print(json.dumps(runs))
+"""
+
+
+def _verify_json_b3(qmax: int) -> str:
+    """verify --json stdout for B m=3 from the closed form, with ms = 0."""
+    qp = charquasi.chi_coxeter("B", 3)
+    rows = [{"q": q, "brute": qp(q), "snf": qp(q), "closed": qp(q)}
+            for q in range(1, qmax + 1)]
+    report = {"spec": "B m=3", "rho": 2, "rows": rows, "verdict": "pass", "ms": 0}
+    return json.dumps(report) + "\n"
+
 
 class TestStartUp:
-    def test_numpy_loaded_only_by_brute_force(self, b2_file):
-        # numpy dominates start-up; only brute_force_count may load it.
+    def test_numpy_never_loaded(self, b2_file):
+        # The package has no runtime dependency: no route loads numpy.
         proc = subprocess.run(
             [sys.executable, "-c", _NUMPY_PROBE, b2_file],
             capture_output=True,
@@ -302,7 +332,21 @@ class TestStartUp:
         )
         assert proc.returncode == 0, proc.stderr
         seen = json.loads(proc.stdout.splitlines()[-1])
-        assert seen == {"import": False, "no_brute": False, "brute": True}
+        assert seen == {"import": False, "no_brute": False, "brute": False}
+
+    def test_brute_force_routes_run_without_numpy(self, b2_file):
+        proc = subprocess.run(
+            [sys.executable, "-c", _NO_NUMPY_PROBE, b2_file],
+            capture_output=True,
+            text=True,
+            env=_child_env(),
+        )
+        assert proc.returncode == 0, proc.stderr
+        (c1, quasi), (c2, count), (c3, verify) = json.loads(proc.stdout)
+        assert c1 == c2 == c3 == 0
+        assert quasi == "period 2\nk=1: q^2 - 4*q + 3\nk=2: q^2 - 4*q + 4\n"
+        assert count == "8\n"
+        assert re.sub(r'"ms": \d+', '"ms": 0', verify) == _verify_json_b3(7)
 
 
 def _per_k_quasi_text(family: str, spec: DeformSpec) -> str:

@@ -2,7 +2,7 @@
 
 brute_force_count is the ground truth by definition (it enumerates the
 counted set literally), so everything else is measured against it; its
-numpy kernel is additionally measured against _plain_count, a plain-integer
+bitset kernel is additionally measured against _plain_count, a plain-integer
 loop over the same points kept here as its oracle.
 """
 
@@ -33,7 +33,8 @@ from charquasi import (
     snf_count,
     verify_minimum_period,
 )
-from charquasi.counting import _CHUNK, _lagrange_integer_poly
+from charquasi import counting
+from charquasi.counting import _CHUNK, _TABLE_BITS, _lagrange_integer_poly
 from charquasi.intlinalg import _lattice_table
 
 from conftest import EDGE_MATRICES, int_matrices
@@ -50,6 +51,61 @@ def _plain_count(mat: IntMatrix, q: int) -> int:
         else:
             count += 1
     return count
+
+
+def _mixed_matrix(m: int) -> IntMatrix:
+    """Columns a, e_m, -a and e_m again (so tables are shared), plus one more."""
+    a = tuple(range(1, m + 1))
+    e = (0,) * (m - 1) + (1,)
+    return IntMatrix.from_columns([a, e, tuple(-v for v in a), e, (1, 4, 6, 2, 8)[:m]])
+
+
+@st.composite
+def _block_split_cases(draw):
+    """(table_bits, chunk, matrix, q) with the block layout changing at small q.
+
+    Shrunken _TABLE_BITS and _CHUNK move every change of layout (how many
+    block coordinates, whether the top one or a lone coordinate is cut into
+    slices, a short last slice) down to moduli the plain loop can
+    enumerate.  Columns may be repeated, negated, or multiplied by q so
+    that every point is ruled out.
+    """
+    table_bits, chunk = draw(
+        st.sampled_from([(2**7, 3), (2**9, 4), (2**9, 7), (_TABLE_BITS, _CHUNK)])
+    )
+    m = draw(st.integers(1, 5))
+    q = draw(st.integers(2, (40, 40, 17, 9, 6)[m - 1]))
+    column = st.lists(st.integers(-5, 5), min_size=m, max_size=m).filter(any)
+    cols = draw(st.lists(column, min_size=1, max_size=4))
+    for _ in range(draw(st.integers(0, 2))):
+        sign = draw(st.sampled_from([1, -1]))
+        cols.append([sign * v for v in draw(st.sampled_from(cols))])
+    if draw(st.integers(0, 3)) == 0:
+        cols.append([q * v for v in draw(st.sampled_from(cols))])
+    return table_bits, chunk, IntMatrix.from_columns(cols), q
+
+
+def _every_divisor_minimum(qp: QuasiPolynomial) -> bool:
+    """Oracle for verify_minimum_period: tries every proper divisor d of rho."""
+    rho = qp.period
+    for d in range(1, rho):
+        if rho % d:
+            continue
+        if all(
+            qp.constituents[k] == qp.constituents[k % d] for k in range(rho)
+        ):
+            return False
+    return True
+
+
+@st.composite
+def _periodic_quasi(draw):
+    """A quasi-polynomial of composite period rho repeating with a drawn d | rho."""
+    rho = draw(st.sampled_from([4, 6, 8, 9, 12, 18, 24, 30, 36, 60, 72, 210]))
+    d = draw(st.sampled_from([d for d in range(1, rho + 1) if rho % d == 0]))
+    roots = draw(st.lists(st.integers(0, 2), min_size=d, max_size=d))
+    polys = [Polynomial.from_roots([r]) for r in roots]
+    return QuasiPolynomial(rho, tuple(polys[k % d] for k in range(rho)))
 
 
 class TestPolynomial:
@@ -163,7 +219,7 @@ class TestBruteForce:
         assert brute_force_count(gen_coxeter("B", 2), 7, budget=49) == 24
 
     def test_huge_entries_use_exact_path(self):
-        # Wide enough entries route around the 64-bit fast path.
+        # Entries past 64 bits are reduced mod q exactly, as Python integers.
         big = 10**19
         mat = IntMatrix(((big + 1, 1), (1, -1)))
         small = IntMatrix(((1, 1), (1, -1)))  # same residues mod 5
@@ -172,16 +228,16 @@ class TestBruteForce:
     @given(int_matrices(), st.sampled_from([*range(2, 10), 255, 256, 257]))
     @settings(max_examples=100, deadline=None)
     def test_fast_path_matches_plain_loop(self, mat, q):
-        # 255..257 cross the uint8/uint16 residue boundary; the plain loop
-        # enumerates them only for m <= 2.
+        # 255..257 give one-coordinate blocks (m <= 2) of up to 257 points,
+        # which the plain loop can still enumerate.
         assume(q <= 9 or mat.rows <= 2)
         assert brute_force_count(mat, q) == _plain_count(mat, q)
 
     @pytest.mark.parametrize("q", [65535, 65536, 65537, 3 * _CHUNK + 5])
     def test_one_coordinate_matches_closed_form(self, q):
-        # x * s = 0 mod q for exactly gcd(s, q) residues x.  65535..65537
-        # cross the uint16/uint32 boundary; q > _CHUNK enumerates the one
-        # coordinate in slices.
+        # x * s = 0 mod q for exactly gcd(s, q) residues x.  Up to
+        # q = _CHUNK = 65536 the coordinate is one mask; 65537 and
+        # 3 * _CHUNK + 5 are enumerated in slices, the last one short.
         for s in (1, 2, 6, 255, 256, q - 1, q, 2 * q, 2**64 + 6):
             assert brute_force_count(IntMatrix(((s,),)), q) == q - math.gcd(s, q)
 
@@ -205,13 +261,56 @@ class TestBruteForce:
         "mat", [m for _, m in EDGE_MATRICES], ids=[i for i, _ in EDGE_MATRICES]
     )
     def test_edge_inputs_match_plain_loop_and_snf(self, mat):
-        # 257 is the first modulus whose residues need uint16.  The plain
-        # loop is too slow for the 257^3 points of the m = 3 inputs.
+        # At 257 the m = 3 inputs get a two-coordinate block whose top
+        # coordinate is sliced.  The plain loop is too slow for their 257^3
+        # points.
         for q in [*range(2, 13), 257]:
             want = snf_count(mat, q)
             assert brute_force_count(mat, q) == want, q
             if q**mat.rows <= 257**2:
                 assert _plain_count(mat, q) == want, q
+
+    @given(_block_split_cases())
+    @settings(max_examples=150, deadline=None)
+    def test_block_splits_match_plain_loop(self, case):
+        table_bits, chunk, mat, q = case
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(counting, "_TABLE_BITS", table_bits)
+            mp.setattr(counting, "_CHUNK", chunk)
+            assert brute_force_count(mat, q) == _plain_count(mat, q)
+
+    @pytest.mark.parametrize(
+        "table_bits, chunk, m, q",
+        [
+            # One coordinate: one mask at q <= chunk, then slices.
+            (2**9, 4, 1, 4), (2**9, 4, 1, 5), (2**9, 4, 1, 9),
+            (2**7, 3, 2, 3), (2**7, 3, 2, 4),
+            # The last q with a table per column, then one coordinate.
+            (2**7, 3, 3, 8), (2**7, 3, 3, 9), (2**9, 4, 3, 16), (2**9, 4, 3, 17),
+            # A composite q whose top coordinate takes four slices.
+            (2**9, 4, 3, 12),
+            # Three block coordinates, then two.
+            (2**7, 3, 4, 4), (2**7, 3, 4, 5), (2**9, 4, 4, 6), (2**9, 4, 4, 7),
+            # Four block coordinates, then three.
+            (2**7, 3, 5, 2), (2**7, 3, 5, 3), (2**9, 4, 5, 4), (2**9, 4, 5, 5),
+        ],
+    )
+    def test_layout_boundaries_match_plain_loop(self, table_bits, chunk, m, q):
+        mat = _mixed_matrix(m)
+        zeroed = IntMatrix.from_columns([*mat.columns(), (q,) * m])
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(counting, "_TABLE_BITS", table_bits)
+            mp.setattr(counting, "_CHUNK", chunk)
+            assert brute_force_count(mat, q) == _plain_count(mat, q)
+            assert brute_force_count(zeroed, q) == 0
+
+    @pytest.mark.parametrize("m, q", [(3, 101), (3, 102), (4, 80), (4, 81), (5, 26), (5, 27)])
+    def test_real_layout_boundaries_match_snf(self, m, q):
+        # At the real limits the layout changes here: 101 is the last full
+        # top coordinate of a two-coordinate block, 80 and 26 the last q
+        # with three and four block coordinates.
+        mat = _mixed_matrix(m)
+        assert brute_force_count(mat, q) == snf_count(mat, q)
 
 
 class TestSnfCount:
@@ -347,6 +446,11 @@ class TestPeriodPredicates:
         p2 = Polynomial.from_roots([2])
         qp = QuasiPolynomial(4, (p1, p2, p1, p2))
         assert not verify_minimum_period(qp)  # period 2 suffices
+
+    @given(_periodic_quasi())
+    @settings(max_examples=200, deadline=None)
+    def test_minimum_period_matches_every_divisor_loop(self, qp):
+        assert verify_minimum_period(qp) == _every_divisor_minimum(qp)
 
     def test_gcd_property_true_for_closed_forms(self):
         assert check_gcd_property(chi_coxeter("C", 3))
