@@ -26,12 +26,14 @@ The module also owns the shared plain-text matrix format:
     lines 2..m+1:  n space-separated integers (one matrix row each)
 
 Blank lines and lines starting with '#' are ignored when parsing.
+
+_Value, the base of the package's immutable value types, lives here because
+every other layer already imports this module.
 """
 
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .errors import EmptyArrangement, InvalidChain, InvalidParity
@@ -39,8 +41,48 @@ from .errors import EmptyArrangement, InvalidChain, InvalidParity
 COXETER_FAMILIES = ("A", "B", "C", "D")
 
 
-@dataclass(frozen=True)
-class IntMatrix:
+class _Value:
+    """Base of the package's immutable value types.
+
+    A subclass names its fields in __slots__, in the order of its
+    constructor's parameters, and sets each once in __init__ through
+    object.__setattr__.  Values of the same class compare and hash by their
+    fields; assigning or deleting a field raises AttributeError.  Pickling
+    and copying call the constructor again, so a copy is validated too.
+    """
+
+    __slots__ = ()
+
+    def __init_subclass__(cls) -> None:
+        super().__init_subclass__()
+        # Reads the fields in C (one field gives the bare value, more give a
+        # tuple): eq and hash run on every dict or set use of a value.
+        cls._key = staticmethod(operator.attrgetter(*cls.__slots__))
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        key = self._key
+        return key(self) == key(other)
+
+    def __hash__(self) -> int:
+        return hash(self._key(self))
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, name) for name in self.__slots__)
+
+
+class IntMatrix(_Value):
     """Immutable integer matrix, row-major; column j is one hyperplane normal.
 
     Invariants enforced at construction: at least one row and one column,
@@ -48,12 +90,10 @@ class IntMatrix:
     would describe the degenerate hyperplane 0 = 0).
     """
 
-    entries: tuple[tuple[int, ...], ...]
+    __slots__ = ("entries",)
 
-    def __post_init__(self) -> None:
-        rows = tuple(
-            tuple(operator.index(v) for v in row) for row in self.entries
-        )
+    def __init__(self, entries: Iterable[Iterable[int]]) -> None:
+        rows = tuple(tuple(operator.index(v) for v in row) for row in entries)
         if not rows or not rows[0]:
             raise ValueError("matrix needs at least one row and one column")
         width = len(rows[0])
@@ -87,8 +127,7 @@ class IntMatrix:
         return tuple(zip(*self.entries))
 
 
-@dataclass(frozen=True)
-class DeformSpec:
+class DeformSpec(_Value):
     """Deformation data: ambient dimension m, diagonal tuple s, even-prefix r.
 
     The tuple s = (s_1, ..., s_t) must satisfy t <= m, s_i >= 1 and the
@@ -98,15 +137,13 @@ class DeformSpec:
     be even and s_{r+1}, ..., s_t odd.
     """
 
-    m: int
-    s: tuple[int, ...] = ()
-    r: int | None = None
+    __slots__ = ("m", "s", "r")
 
-    def __post_init__(self) -> None:
-        m = operator.index(self.m)
-        s = tuple(operator.index(v) for v in self.s)
-        object.__setattr__(self, "m", m)
-        object.__setattr__(self, "s", s)
+    def __init__(
+        self, m: int, s: Iterable[int] = (), r: int | None = None
+    ) -> None:
+        m = operator.index(m)
+        s = tuple(operator.index(v) for v in s)
         if m < 1:
             raise ValueError("dimension m must be >= 1")
         if len(s) > m:
@@ -118,9 +155,8 @@ class DeformSpec:
                 raise InvalidChain(
                     f"divisibility chain broken: {b} does not divide {a}"
                 )
-        if self.r is not None:
-            r = operator.index(self.r)
-            object.__setattr__(self, "r", r)
+        if r is not None:
+            r = operator.index(r)
             if r < 0 or r > len(s):
                 raise ValueError(f"need 0 <= r <= t, got r = {r}")
             for i in range(r):
@@ -129,6 +165,9 @@ class DeformSpec:
             for i in range(r, len(s)):
                 if s[i] % 2 == 0:
                     raise InvalidParity(f"s_{i + 1} = {s[i]} must be odd")
+        object.__setattr__(self, "m", m)
+        object.__setattr__(self, "s", s)
+        object.__setattr__(self, "r", r)
 
     @property
     def t(self) -> int:

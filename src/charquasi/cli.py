@@ -11,17 +11,17 @@ Subcommands:
 Exit codes: 0 success, 1 verification failure (verify only), 2 usage or
 spec error.  All library errors are reported as 'error: <message>' on
 stderr with exit code 2.
+
+Start-up loads only argparse, errors and arrangements; each command imports
+the layers it runs (intlinalg, counting, closedforms) in its own handler.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import sys
 import time
-from dataclasses import dataclass, field
-from pathlib import Path
 
 from .arrangements import (
     COXETER_FAMILIES,
@@ -33,20 +33,11 @@ from .arrangements import (
     gen_deform_d,
     parse_matrix,
 )
-from .closedforms import chi_coxeter, chi_deform_a, chi_deform_d
-from .counting import (
-    QuasiPolynomial,
-    brute_force_count,
-    interpolate_quasi,
-    snf_count,
-)
 from .errors import CharQuasiError
-from .intlinalg import known_period, lcm_period
 
 DEFORM_FAMILIES = ("Adeform", "Ddeform")
 
 
-@dataclass
 class RunReport:
     """Cross-check record printed by the verify subcommand.
 
@@ -54,10 +45,11 @@ class RunReport:
     the verdict is 'pass' exactly when all counts agree in every row.
     """
 
-    spec: str
-    rho: int
-    rows: list[dict[str, int]] = field(default_factory=list)
-    ms: int = 0
+    def __init__(self, spec: str, rho: int) -> None:
+        self.spec = spec
+        self.rho = rho
+        self.rows: list[dict[str, int]] = []
+        self.ms = 0
 
     @property
     def verdict(self) -> str:
@@ -109,14 +101,19 @@ def _add_family_options(sp: argparse.ArgumentParser, required: bool) -> None:
     )
 
 
-@dataclass(frozen=True)
 class FamilySpec:
-    """One built-in arrangement selected on the command line."""
+    """One built-in arrangement selected on the command line.
 
-    family: str
-    m: int
-    s: tuple[int, ...] = ()
-    r: int | None = None
+    r is None for every family but Ddeform.
+    """
+
+    def __init__(
+        self, family: str, m: int, s: tuple[int, ...] = (), r: int | None = None
+    ) -> None:
+        self.family = family
+        self.m = m
+        self.s = s
+        self.r = r
 
     def describe(self) -> str:
         text = f"{self.family} m={self.m}"
@@ -145,27 +142,51 @@ def _family_from_args(args: argparse.Namespace) -> FamilySpec:
 def _build_matrix(fs: FamilySpec) -> IntMatrix:
     if fs.family in COXETER_FAMILIES:
         return gen_coxeter(fs.family, fs.m)
-    if fs.family == "Adeform":
-        return gen_deform_a(DeformSpec(fs.m, fs.s))
-    return gen_deform_d(DeformSpec(fs.m, fs.s, fs.r))
+    gen = gen_deform_a if fs.family == "Adeform" else gen_deform_d
+    return gen(DeformSpec(fs.m, fs.s, fs.r))
 
 
 def _family_period(fs: FamilySpec) -> int:
     if fs.family in COXETER_FAMILIES:
+        from .closedforms import chi_coxeter
+
         return chi_coxeter(fs.family, fs.m).period
-    if fs.family == "Adeform":
-        return known_period(DeformSpec(fs.m, fs.s), "Adeform")
-    return known_period(DeformSpec(fs.m, fs.s, fs.r), "Ddeform")
+    from .intlinalg import known_period
+
+    return known_period(DeformSpec(fs.m, fs.s, fs.r), fs.family)
 
 
-def _family_quasi(fs: FamilySpec) -> QuasiPolynomial:
+def _deform_chi(fs: FamilySpec):
+    """Spec and constituent function chi(spec, k) of a deformation family.
+
+    chi reduces k to gcd(k, rho) itself, so k may be any modulus q.
+    """
+    from .closedforms import chi_deform_a, chi_deform_d
+
+    chi = chi_deform_a if fs.family == "Adeform" else chi_deform_d
+    return DeformSpec(fs.m, fs.s, fs.r), chi
+
+
+def _family_count(fs: FamilySpec):
+    """Closed-form count q -> |M(q)| of a family, one constituent per call."""
     if fs.family in COXETER_FAMILIES:
+        from .closedforms import chi_coxeter
+
         return chi_coxeter(fs.family, fs.m)
+    spec, chi = _deform_chi(fs)
+    return lambda q: chi(spec, q)(q)
+
+
+def _family_quasi(fs: FamilySpec):
+    """The whole closed-form quasi-polynomial of a family, rho constituents."""
+    if fs.family in COXETER_FAMILIES:
+        from .closedforms import chi_coxeter
+
+        return chi_coxeter(fs.family, fs.m)
+    from .counting import QuasiPolynomial
+
     rho = _family_period(fs)
-    if fs.family == "Adeform":
-        spec, chi = DeformSpec(fs.m, fs.s), chi_deform_a
-    else:
-        spec, chi = DeformSpec(fs.m, fs.s, fs.r), chi_deform_d
+    spec, chi = _deform_chi(fs)
     # A constituent depends on k only through gcd(k, rho) (chi reduces k to
     # it), so evaluate once per divisor of rho and share the result.
     by_gcd = {g: chi(spec, g) for g in range(1, rho + 1) if rho % g == 0}
@@ -175,7 +196,8 @@ def _family_quasi(fs: FamilySpec) -> QuasiPolynomial:
 
 
 def _read_matrix(path: str) -> IntMatrix:
-    return parse_matrix(Path(path).read_text())
+    with open(path) as fh:
+        return parse_matrix(fh.read())
 
 
 def cmd_gen(args: argparse.Namespace) -> int:
@@ -185,6 +207,8 @@ def cmd_gen(args: argparse.Namespace) -> int:
 
 
 def cmd_period(args: argparse.Namespace) -> int:
+    from .intlinalg import lcm_period
+
     mat = _read_matrix(args.matrix)
     res = lcm_period(mat, args.max_subset_size)
     marker = "" if res.exact else " lower-bound"
@@ -193,6 +217,8 @@ def cmd_period(args: argparse.Namespace) -> int:
 
 
 def cmd_count(args: argparse.Namespace) -> int:
+    from .counting import brute_force_count, snf_count
+
     mat = _read_matrix(args.matrix)
     if args.method == "brute":
         print(brute_force_count(mat, args.q))
@@ -202,6 +228,9 @@ def cmd_count(args: argparse.Namespace) -> int:
 
 
 def cmd_quasi(args: argparse.Namespace) -> int:
+    from .counting import interpolate_quasi
+    from .intlinalg import lcm_period
+
     if args.matrix is not None and args.family is not None:
         raise ValueError("give either a matrix file or --family, not both")
     if args.matrix is not None:
@@ -226,13 +255,16 @@ def cmd_quasi(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
+    from .counting import brute_force_count, snf_count
+
     if args.qmax < 1:
         raise ValueError("--qmax must be >= 1")
     started = time.perf_counter()
     fs = _family_from_args(args)
     mat = _build_matrix(fs)
-    closed = _family_quasi(fs)
-    report = RunReport(spec=fs.describe(), rho=closed.period)
+    # Only qmax constituents are needed, never the rho-long quasi-polynomial.
+    closed = _family_count(fs)
+    report = RunReport(spec=fs.describe(), rho=_family_period(fs))
     for q in range(1, args.qmax + 1):
         report.rows.append(
             {
@@ -244,6 +276,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
         )
     report.ms = round((time.perf_counter() - started) * 1000)
     if args.json:
+        import json
+
         print(json.dumps(report.to_dict()))
     else:
         print(f"spec: {report.spec}")

@@ -31,11 +31,10 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
-from fractions import Fraction
 from functools import reduce
+from typing import Iterable
 
-from .arrangements import IntMatrix
+from .arrangements import IntMatrix, _Value
 from .errors import BudgetExceeded, NotIntegral, NotMonic, TooManyColumns
 from .intlinalg import FULL_ENUMERATION_LIMIT, _lattice_table
 
@@ -48,18 +47,17 @@ _CHUNK = 1 << 16
 _MAX_MODULUS = 1 << 31
 
 
-@dataclass(frozen=True)
-class Polynomial:
+class Polynomial(_Value):
     """Integer-coefficient polynomial; coeffs[i] multiplies q^i.
 
     Trailing zero coefficients are stripped, so the zero polynomial has
     coeffs == () and degree -1.
     """
 
-    coeffs: tuple[int, ...] = ()
+    __slots__ = ("coeffs",)
 
-    def __post_init__(self) -> None:
-        cs = [operator.index(c) for c in self.coeffs]
+    def __init__(self, coeffs: Iterable[int] = ()) -> None:
+        cs = [operator.index(c) for c in coeffs]
         while cs and cs[-1] == 0:
             cs.pop()
         object.__setattr__(self, "coeffs", tuple(cs))
@@ -156,32 +154,31 @@ class Polynomial:
         return " ".join(parts)
 
 
-@dataclass(frozen=True)
-class QuasiPolynomial:
+class QuasiPolynomial(_Value):
     """One monic degree-m constituent per residue class modulo the period.
 
     constituents[k-1] applies to q = k (mod period), where the residue index
     runs over 1..period and index period covers q = 0 (mod period).
     """
 
-    period: int
-    constituents: tuple[Polynomial, ...]
+    __slots__ = ("period", "constituents")
 
-    def __post_init__(self) -> None:
-        period = operator.index(self.period)
-        object.__setattr__(self, "period", period)
-        object.__setattr__(self, "constituents", tuple(self.constituents))
+    def __init__(self, period: int, constituents: Iterable[Polynomial]) -> None:
+        period = operator.index(period)
+        constituents = tuple(constituents)
         if period < 1:
             raise ValueError("period must be >= 1")
-        if len(self.constituents) != period:
+        if len(constituents) != period:
             raise ValueError(
-                f"need exactly {period} constituents, got {len(self.constituents)}"
+                f"need exactly {period} constituents, got {len(constituents)}"
             )
-        degs = {p.degree for p in self.constituents}
+        degs = {p.degree for p in constituents}
         if len(degs) != 1:
             raise ValueError("constituents must share one degree")
-        if not all(p.is_monic for p in self.constituents):
+        if not all(p.is_monic for p in constituents):
             raise ValueError("constituents must be monic")
+        object.__setattr__(self, "period", period)
+        object.__setattr__(self, "constituents", constituents)
 
     @property
     def degree(self) -> int:
@@ -384,6 +381,8 @@ def snf_count(mat: IntMatrix, q: int) -> int:
 
 def _lagrange_integer_poly(xs: list[int], ys: list[int]) -> Polynomial:
     """Exact interpolating polynomial through (xs[i], ys[i]); must be integral."""
+    from fractions import Fraction  # here, so that start-up never pays for it
+
     k = len(xs)
     acc = [Fraction(0)] * k
     for i in range(k):

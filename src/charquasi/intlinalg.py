@@ -29,31 +29,29 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
 from functools import lru_cache, reduce
 from typing import Iterable, NamedTuple, Sequence
 
-from .arrangements import DeformSpec, IntMatrix
+from .arrangements import DeformSpec, IntMatrix, _Value
 from .errors import IndexOutOfRange, InvalidParity, TooManyColumns
 
 # Widest matrix lcm_period (without a cap) and snf_count accept.
 FULL_ENUMERATION_LIMIT = 24
 
 
-@dataclass(frozen=True)
-class ElementaryDivisors:
+class ElementaryDivisors(_Value):
     """Positive elementary divisors e_1 | e_2 | ... | e_rank of a matrix."""
 
-    divisors: tuple[int, ...]
+    __slots__ = ("divisors",)
 
-    def __post_init__(self) -> None:
-        divs = tuple(operator.index(v) for v in self.divisors)
-        object.__setattr__(self, "divisors", divs)
+    def __init__(self, divisors: Iterable[int]) -> None:
+        divs = tuple(operator.index(v) for v in divisors)
         if any(v < 1 for v in divs):
             raise ValueError("elementary divisors must be positive")
         for a, b in zip(divs, divs[1:]):
             if b % a:
                 raise ValueError("elementary divisors must form a chain")
+        object.__setattr__(self, "divisors", divs)
 
     @property
     def rank(self) -> int:

@@ -14,11 +14,22 @@ satisfy the hypotheses (small q); callers redraw.
 from __future__ import annotations
 
 import math
+import os
 import random
+from pathlib import Path
 
 from hypothesis import strategies as st
 
+import charquasi
 from charquasi import IntMatrix
+
+
+def child_env() -> dict[str, str]:
+    """Environment whose PYTHONPATH finds the charquasi imported here first."""
+    env = dict(os.environ)
+    src = str(Path(charquasi.__file__).parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env
 
 
 def nonzero_column(rng: random.Random, m: int, lo: int, hi: int) -> list[int]:

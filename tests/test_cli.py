@@ -2,12 +2,11 @@
 
 import io
 import json
-import os
 import re
 import subprocess
 import sys
+import time
 from contextlib import redirect_stdout
-from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -17,7 +16,7 @@ import charquasi
 from charquasi import DeformSpec, chi_deform_a, chi_deform_d, known_period
 from charquasi.cli import main
 
-from conftest import random_chain_a, random_chain_d
+from conftest import child_env, random_chain_a, random_chain_d
 
 
 def run_cli(capsys, *argv):
@@ -235,7 +234,7 @@ class TestVerify:
     def test_disagreement_exits_1(self, capsys, monkeypatch):
         # Inject a wrong brute-force count to drive the fail verdict.
         monkeypatch.setattr(
-            "charquasi.cli.brute_force_count", lambda mat, q: 999
+            "charquasi.counting.brute_force_count", lambda mat, q: 999
         )
         code, out, _ = run_cli(
             capsys, "verify", "--family", "B", "--m", "2", "--qmax", "5"
@@ -243,13 +242,22 @@ class TestVerify:
         assert code == 1
         assert "verdict: fail" in out
 
-
-def _child_env() -> dict[str, str]:
-    """Environment whose PYTHONPATH finds the charquasi imported here first."""
-    env = dict(os.environ)
-    src = str(Path(charquasi.__file__).parents[1])
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    return env
+    def test_huge_period_checks_only_qmax_moduli(self, capsys):
+        # rho = 10^7: building the rho-long quasi-polynomial took seconds.
+        started = time.perf_counter()
+        code, out, _ = run_cli(
+            capsys, "verify", "--family", "Adeform", "--m", "2", "--s",
+            "10000000", "--qmax", "3",
+        )
+        assert time.perf_counter() - started < 1.0
+        assert code == 0
+        assert out.splitlines()[1:6] == [
+            "rho = 10000000",
+            f"{'q':>4} {'brute':>10} {'snf':>10} {'closed':>10}",
+            f"{1:>4} {0:>10} {0:>10} {0:>10}",
+            f"{2:>4} {0:>10} {0:>10} {0:>10}",
+            f"{3:>4} {4:>10} {4:>10} {4:>10}",
+        ]
 
 
 class TestConsoleScript:
@@ -259,7 +267,7 @@ class TestConsoleScript:
              "--m", "2", "--method", "closed-form"],
             capture_output=True,
             text=True,
-            env=_child_env(),
+            env=child_env(),
         )
         assert proc.returncode == 0
         assert proc.stdout == "period 2\nk=1: q^2 - 4*q + 3\nk=2: q^2 - 4*q + 4\n"
@@ -270,7 +278,7 @@ class TestConsoleScript:
              "--m", "1"],
             capture_output=True,
             text=True,
-            env=_child_env(),
+            env=child_env(),
         )
         assert proc.returncode == 2
         assert "empty arrangement" in proc.stderr
@@ -312,6 +320,24 @@ print(json.dumps(runs))
 """
 
 
+# Modules each stage loads beyond those of a bare interpreter, one line per
+# stage; json is not imported here because it is one of the modules checked.
+_LAYER_PROBE = """
+import io, sys
+from contextlib import redirect_stdout
+bare = set(sys.modules)
+def stage(name):
+    print(name, *sorted(set(sys.modules) - bare), file=sys.stderr)
+import charquasi.cli
+stage("import")
+with redirect_stdout(io.StringIO()):
+    charquasi.cli.main(["period", sys.argv[1]])
+    stage("period")
+    charquasi.cli.main(["count", sys.argv[1], "--q", "5", "--method", "snf"])
+    stage("snf")
+"""
+
+
 def _verify_json_b3(qmax: int) -> str:
     """verify --json stdout for B m=3 from the closed form, with ms = 0."""
     qp = charquasi.chi_coxeter("B", 3)
@@ -328,7 +354,7 @@ class TestStartUp:
             [sys.executable, "-c", _NUMPY_PROBE, b2_file],
             capture_output=True,
             text=True,
-            env=_child_env(),
+            env=child_env(),
         )
         assert proc.returncode == 0, proc.stderr
         seen = json.loads(proc.stdout.splitlines()[-1])
@@ -339,7 +365,7 @@ class TestStartUp:
             [sys.executable, "-c", _NO_NUMPY_PROBE, b2_file],
             capture_output=True,
             text=True,
-            env=_child_env(),
+            env=child_env(),
         )
         assert proc.returncode == 0, proc.stderr
         (c1, quasi), (c2, count), (c3, verify) = json.loads(proc.stdout)
@@ -347,6 +373,27 @@ class TestStartUp:
         assert quasi == "period 2\nk=1: q^2 - 4*q + 3\nk=2: q^2 - 4*q + 4\n"
         assert count == "8\n"
         assert re.sub(r'"ms": \d+', '"ms": 0', verify) == _verify_json_b3(7)
+
+    def test_each_command_loads_only_its_layers(self, b2_file):
+        proc = subprocess.run(
+            [sys.executable, "-c", _LAYER_PROBE, b2_file],
+            capture_output=True,
+            text=True,
+            env=child_env(),
+        )
+        assert proc.returncode == 0, proc.stderr
+        loaded = {
+            stage: set(names)
+            for stage, *names in map(str.split, proc.stderr.splitlines())
+        }
+        assert {"charquasi.cli", "charquasi.arrangements"} <= loaded["import"]
+        layers = {"charquasi.intlinalg", "charquasi.counting", "charquasi.closedforms"}
+        unused = {"dataclasses", "inspect", "fractions", "json"}
+        assert not loaded["import"] & (layers | unused)
+        assert "charquasi.intlinalg" in loaded["period"]
+        assert not loaded["period"] & {"charquasi.counting", "charquasi.closedforms"}
+        assert "charquasi.counting" in loaded["snf"]
+        assert "charquasi.closedforms" not in loaded["snf"]
 
 
 def _per_k_quasi_text(family: str, spec: DeformSpec) -> str:
