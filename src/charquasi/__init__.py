@@ -14,13 +14,16 @@ _EXPORTS = {
         "COXETER_FAMILIES",
         "DeformSpec",
         "IntMatrix",
+        "coxeter_spec",
         "format_matrix",
         "gen_coxeter",
         "gen_deform_a",
         "gen_deform_d",
         "parse_matrix",
     ),
-    "closedforms": ("chi_coxeter", "chi_deform_a", "chi_deform_d", "chi_deform_d_tm"),
+    "closedforms": (
+        "chi_coxeter", "chi_deform_a", "chi_deform_d", "chi_deform_d_tm", "deform_quasi"
+    ),
     "counting": (
         "Polynomial",
         "QuasiPolynomial",

@@ -2,18 +2,19 @@
 
 An arrangement is stored as an m x n integer matrix S whose column j is the
 normal vector of the hyperplane {x : x . s_j = 0}; counting later reads the
-columns modulo q.  This module builds the four reflection families in the
-orthonormal basis
+columns modulo q.  The families are the diagonal deformations A_m(s) and
+D_m(s): the columns s_1 e_1, ..., s_t e_t in the orthonormal basis, then
+e_i - e_j (and for type D also e_i + e_j) for 1 <= i < j <= m, subject to
+the divisibility chain s_t | s_{t-1} | ... | s_1 (for type D additionally
+the parity split: s_1, ..., s_r even and s_{r+1}, ..., s_t odd).
 
-    A_m : e_i - e_j                      (1 <= i < j <= m)
-    B_m : e_i, e_i - e_j, e_i + e_j
-    C_m : 2 e_i, e_i - e_j, e_i + e_j
-    D_m : e_i - e_j, e_i + e_j
+The four reflection families are deformations too, and coxeter_spec is the
+one place that says which:
 
-and their diagonal deformations A_m(s) and D_m(s), obtained by prepending
-the columns s_1 e_1, ..., s_t e_t subject to the divisibility chain
-s_t | s_{t-1} | ... | s_1 (for type D additionally the parity split:
-s_1, ..., s_r even and s_{r+1}, ..., s_t odd).
+    A_m = A_m()                   B_m = D_m(1, ..., 1; r = 0)
+    D_m = D_m(; r = 0)            C_m = D_m(2, ..., 2; r = m)
+
+with B_1 = A_1(1) and C_1 = A_1(2), since D-type pairs need m >= 2.
 
 Column order is canonical: diagonal columns first in index order, then for
 each pair i < j in lexicographic order the column e_i - e_j followed, where
@@ -197,28 +198,39 @@ def _pair_columns(m: int, with_plus: bool) -> list[tuple[int, ...]]:
     return cols
 
 
-def gen_coxeter(family: str, m: int) -> IntMatrix:
-    """Normal matrix of the reflection arrangement of the given family.
+def coxeter_spec(family: str, m: int) -> tuple[str, DeformSpec]:
+    """The reflection arrangement of a family as (deformation family, spec).
 
-    Raises EmptyArrangement when the combination has no hyperplanes
-    (A with m = 1, D with m = 1).
+    Raises EmptyArrangement for A_1 and D_1, which have no hyperplanes.
     """
     if family not in COXETER_FAMILIES:
         raise ValueError(f"unknown family {family!r}, expected one of A B C D")
     m = operator.index(m)
     if m < 1:
         raise ValueError("dimension m must be >= 1")
-    cols: list[tuple[int, ...]] = []
-    if family == "B":
-        cols += _diagonal_columns(m, [1] * m)
-    elif family == "C":
-        cols += _diagonal_columns(m, [2] * m)
-    cols += _pair_columns(m, with_plus=family != "A")
-    if not cols:
+    if m == 1 and family in "AD":
         raise EmptyArrangement(
             f"empty arrangement: {family}_{m} has no hyperplanes"
         )
-    return IntMatrix.from_columns(cols)
+    if family == "A":
+        return "Adeform", DeformSpec(m)
+    if family == "D":
+        return "Ddeform", DeformSpec(m, (), 0)
+    # B adds the columns e_i (all odd), C the columns 2 e_i (all even).
+    v = 1 if family == "B" else 2
+    if m == 1:
+        return "Adeform", DeformSpec(1, (v,))
+    return "Ddeform", DeformSpec(m, (v,) * m, 0 if v == 1 else m)
+
+
+def gen_coxeter(family: str, m: int) -> IntMatrix:
+    """Normal matrix of the reflection arrangement of the given family.
+
+    Raises EmptyArrangement when the combination has no hyperplanes
+    (A with m = 1, D with m = 1).
+    """
+    family, spec = coxeter_spec(family, m)
+    return gen_deform_a(spec) if family == "Adeform" else gen_deform_d(spec)
 
 
 def gen_deform_a(spec: DeformSpec) -> IntMatrix:

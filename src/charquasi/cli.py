@@ -19,7 +19,6 @@ the layers it runs (intlinalg, counting, closedforms) in its own handler.
 from __future__ import annotations
 
 import argparse
-import math
 import sys
 import time
 
@@ -27,8 +26,8 @@ from .arrangements import (
     COXETER_FAMILIES,
     DeformSpec,
     IntMatrix,
+    coxeter_spec,
     format_matrix,
-    gen_coxeter,
     gen_deform_a,
     gen_deform_d,
     parse_matrix,
@@ -101,98 +100,25 @@ def _add_family_options(sp: argparse.ArgumentParser, required: bool) -> None:
     )
 
 
-class FamilySpec:
-    """One built-in arrangement selected on the command line.
-
-    r is None for every family but Ddeform.
-    """
-
-    def __init__(
-        self, family: str, m: int, s: tuple[int, ...] = (), r: int | None = None
-    ) -> None:
-        self.family = family
-        self.m = m
-        self.s = s
-        self.r = r
-
-    def describe(self) -> str:
-        text = f"{self.family} m={self.m}"
-        if self.family in DEFORM_FAMILIES:
-            text += f" s=({','.join(str(v) for v in self.s)})"
-        if self.family == "Ddeform":
-            text += f" r={self.r}"
-        return text
-
-
-def _family_from_args(args: argparse.Namespace) -> FamilySpec:
+def _family_from_args(args: argparse.Namespace) -> tuple[str, str, DeformSpec]:
+    """The verify label, deformation family and spec of the --family options."""
     if args.m is None:
         raise ValueError("--family needs --m")
     if args.family in COXETER_FAMILIES:
         if args.s is not None or args.r is not None:
             raise ValueError("--s and --r only apply to deformation families")
-        return FamilySpec(args.family, args.m)
+        return (f"{args.family} m={args.m}", *coxeter_spec(args.family, args.m))
     s = args.s or ()
+    label = f"{args.family} m={args.m} s=({','.join(str(v) for v in s)})"
     if args.family == "Adeform":
         # The parity split is meaningless for type A; it is ignored.
-        return FamilySpec("Adeform", args.m, tuple(s))
+        return label, "Adeform", DeformSpec(args.m, s)
     r = 0 if args.r is None else args.r
-    return FamilySpec("Ddeform", args.m, tuple(s), r)
+    return f"{label} r={r}", "Ddeform", DeformSpec(args.m, s, r)
 
 
-def _build_matrix(fs: FamilySpec) -> IntMatrix:
-    if fs.family in COXETER_FAMILIES:
-        return gen_coxeter(fs.family, fs.m)
-    gen = gen_deform_a if fs.family == "Adeform" else gen_deform_d
-    return gen(DeformSpec(fs.m, fs.s, fs.r))
-
-
-def _family_period(fs: FamilySpec) -> int:
-    if fs.family in COXETER_FAMILIES:
-        from .closedforms import chi_coxeter
-
-        return chi_coxeter(fs.family, fs.m).period
-    from .intlinalg import known_period
-
-    return known_period(DeformSpec(fs.m, fs.s, fs.r), fs.family)
-
-
-def _deform_chi(fs: FamilySpec):
-    """Spec and constituent function chi(spec, k) of a deformation family.
-
-    chi reduces k to gcd(k, rho) itself, so k may be any modulus q.
-    """
-    from .closedforms import chi_deform_a, chi_deform_d
-
-    chi = chi_deform_a if fs.family == "Adeform" else chi_deform_d
-    return DeformSpec(fs.m, fs.s, fs.r), chi
-
-
-def _family_count(fs: FamilySpec):
-    """Closed-form count q -> |M(q)| of a family, one constituent per call."""
-    if fs.family in COXETER_FAMILIES:
-        from .closedforms import chi_coxeter
-
-        return chi_coxeter(fs.family, fs.m)
-    spec, chi = _deform_chi(fs)
-    return lambda q: chi(spec, q)(q)
-
-
-def _family_quasi(fs: FamilySpec):
-    """The whole closed-form quasi-polynomial of a family, rho constituents."""
-    if fs.family in COXETER_FAMILIES:
-        from .closedforms import chi_coxeter
-
-        return chi_coxeter(fs.family, fs.m)
-    from .counting import QuasiPolynomial
-
-    rho = _family_period(fs)
-    spec, chi = _deform_chi(fs)
-    # A constituent depends on k only through gcd(k, rho) (chi reduces k to
-    # it), so evaluate once per divisor of rho and share the result.
-    by_gcd = {g: chi(spec, g) for g in range(1, rho + 1) if rho % g == 0}
-    return QuasiPolynomial(
-        rho, tuple(by_gcd[math.gcd(k, rho)] for k in range(1, rho + 1))
-    )
+def _build_matrix(family: str, spec: DeformSpec) -> IntMatrix:
+    return (gen_deform_a if family == "Adeform" else gen_deform_d)(spec)
 
 
 def _read_matrix(path: str) -> IntMatrix:
@@ -201,8 +127,8 @@ def _read_matrix(path: str) -> IntMatrix:
 
 
 def cmd_gen(args: argparse.Namespace) -> int:
-    mat = _build_matrix(_family_from_args(args))
-    sys.stdout.write(format_matrix(mat))
+    _, family, spec = _family_from_args(args)
+    sys.stdout.write(format_matrix(_build_matrix(family, spec)))
     return 0
 
 
@@ -229,7 +155,7 @@ def cmd_count(args: argparse.Namespace) -> int:
 
 def cmd_quasi(args: argparse.Namespace) -> int:
     from .counting import interpolate_quasi
-    from .intlinalg import lcm_period
+    from .intlinalg import known_period, lcm_period
 
     if args.matrix is not None and args.family is not None:
         raise ValueError("give either a matrix file or --family, not both")
@@ -239,11 +165,14 @@ def cmd_quasi(args: argparse.Namespace) -> int:
         mat = _read_matrix(args.matrix)
         qp = interpolate_quasi(mat, lcm_period(mat).value)
     elif args.family is not None:
-        fs = _family_from_args(args)
+        _, family, spec = _family_from_args(args)
         if args.method == "closed-form":
-            qp = _family_quasi(fs)
+            from .closedforms import deform_quasi
+
+            qp = deform_quasi(family, spec)
         else:
-            qp = interpolate_quasi(_build_matrix(fs), _family_period(fs))
+            mat = _build_matrix(family, spec)
+            qp = interpolate_quasi(mat, known_period(spec, family))
     else:
         raise ValueError("need a matrix file or --family")
     # Closed forms repeat few distinct constituents; format each one once.
@@ -255,23 +184,26 @@ def cmd_quasi(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
+    from .closedforms import chi_deform_a, chi_deform_d
     from .counting import brute_force_count, snf_count
+    from .intlinalg import known_period
 
     if args.qmax < 1:
         raise ValueError("--qmax must be >= 1")
     started = time.perf_counter()
-    fs = _family_from_args(args)
-    mat = _build_matrix(fs)
-    # Only qmax constituents are needed, never the rho-long quasi-polynomial.
-    closed = _family_count(fs)
-    report = RunReport(spec=fs.describe(), rho=_family_period(fs))
+    label, family, spec = _family_from_args(args)
+    mat = _build_matrix(family, spec)
+    # Only qmax constituents are needed, never the rho-long quasi-polynomial;
+    # chi reduces each modulus q to its class itself.
+    chi = chi_deform_a if family == "Adeform" else chi_deform_d
+    report = RunReport(spec=label, rho=known_period(spec, family))
     for q in range(1, args.qmax + 1):
         report.rows.append(
             {
                 "q": q,
                 "brute": brute_force_count(mat, q),
                 "snf": snf_count(mat, q),
-                "closed": closed(q),
+                "closed": chi(spec, q)(q),
             }
         )
     report.ms = round((time.perf_counter() - started) * 1000)

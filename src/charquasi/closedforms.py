@@ -3,7 +3,9 @@
 Each function returns exact polynomials (or a full quasi-polynomial) built
 from integer roots, matching what counting and interpolation produce point
 for point.  Empty products are 1 and empty sums are 0 throughout, so every
-formula degenerates correctly at t = 0, t = m, r = 0 and r = t.
+formula degenerates correctly at t = 0, t = m, r = 0 and r = t.  The
+reflection families have no formulas of their own: chi_coxeter reads the
+deformation formulas through arrangements.coxeter_spec.
 
 Residue-class indices k are reduced through the gcd property: constituents
 of a quasi-polynomial with minimum period rho agree whenever the indices
@@ -25,7 +27,7 @@ import math
 import operator
 from typing import Sequence
 
-from .arrangements import DeformSpec
+from .arrangements import DeformSpec, coxeter_spec
 from .counting import Polynomial, QuasiPolynomial
 from .errors import EmptyArrangement, InvalidParity, InvalidResidue, SpecMismatch
 from .intlinalg import known_period
@@ -45,38 +47,24 @@ def _reduce_residue(k: int, rho: int) -> int:
 def chi_coxeter(family: str, m: int) -> QuasiPolynomial:
     """Characteristic quasi-polynomial of a reflection family, in closed form.
 
-    A_m has period 1; B_m, C_m and D_m have period 2 with one constituent
-    for odd q (k = 1) and one for even q (k = 2).  Raises EmptyArrangement
-    for A or D with m = 1 (no hyperplanes; the count would be plain q).
+    A_m and B_1 have period 1.  B_m (m >= 2), C_m and D_m have period 2,
+    with one constituent for odd q (k = 1) and one for even q (k = 2).
+    Raises EmptyArrangement for A or D with m = 1 (no hyperplanes; the
+    count would be plain q).
     """
-    m = operator.index(m)
-    if m < 1:
-        raise ValueError("dimension m must be >= 1")
-    if family == "A":
-        if m == 1:
-            raise EmptyArrangement(
-                "empty arrangement: A_1 has no hyperplanes"
-            )
-        return QuasiPolynomial(1, (Polynomial.from_roots(range(m)),))
-    if family == "B":
-        odd = Polynomial.from_roots(2 * i + 1 for i in range(m))
-        even = Polynomial.from_roots([m] + [2 * i + 2 for i in range(m - 1)])
-        return QuasiPolynomial(2, (odd, even))
-    if family == "C":
-        odd = Polynomial.from_roots(2 * i + 1 for i in range(m))
-        even = Polynomial.from_roots(2 * i + 2 for i in range(m))
-        return QuasiPolynomial(2, (odd, even))
-    if family == "D":
-        if m == 1:
-            raise EmptyArrangement(
-                "empty arrangement: D_1 has no hyperplanes"
-            )
-        odd = Polynomial.from_roots([m - 1] + [2 * i + 1 for i in range(m - 1)])
-        even = Polynomial((m * (m - 1), -2 * (m - 1), 1)) * Polynomial.from_roots(
-            2 * i + 2 for i in range(m - 2)
-        )
-        return QuasiPolynomial(2, (odd, even))
-    raise ValueError(f"unknown family {family!r}, expected one of A B C D")
+    return deform_quasi(*coxeter_spec(family, m))
+
+
+def deform_quasi(family: str, spec: DeformSpec) -> QuasiPolynomial:
+    """The whole closed-form quasi-polynomial of Adeform or Ddeform.
+
+    A constituent depends on k only through gcd(k, rho), so each divisor
+    of the period rho is evaluated once and its classes share the result.
+    """
+    chi = chi_deform_a if family == "Adeform" else chi_deform_d
+    rho = known_period(spec, family)
+    by_gcd = {g: chi(spec, g) for g in range(1, rho + 1) if rho % g == 0}
+    return QuasiPolynomial(rho, (by_gcd[math.gcd(k, rho)] for k in range(1, rho + 1)))
 
 
 def chi_deform_a(spec: DeformSpec, k: int) -> Polynomial:

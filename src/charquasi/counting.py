@@ -19,9 +19,10 @@ the two generic counters plus exact interpolation:
     J only through the lattice its columns span, so the sum runs over the
     distinct lattices of intlinalg's lattice table, each weighted by its
     signed subset count, not over the 2^n subsets.
-  * interpolate_quasi: exact Lagrange interpolation (Fraction arithmetic)
-    of one degree-m constituent per residue class mod a given period, from
-    m + 1 brute-force counts per class.
+  * interpolate_quasi: exact Newton interpolation in integers (divided
+    differences, each division checked to be exact) of one degree-m
+    constituent per residue class mod a given period, from m + 1
+    brute-force counts per class.
 
 Polynomial and QuasiPolynomial are the exact result types shared with the
 closed-form module.
@@ -379,31 +380,27 @@ def snf_count(mat: IntMatrix, q: int) -> int:
     return total
 
 
-def _lagrange_integer_poly(xs: list[int], ys: list[int]) -> Polynomial:
-    """Exact interpolating polynomial through (xs[i], ys[i]); must be integral."""
-    from fractions import Fraction  # here, so that start-up never pays for it
+def _newton_integer_poly(xs: list[int], ys: list[int]) -> Polynomial:
+    """Exact interpolating polynomial through (xs[i], ys[i]); must be integral.
 
-    k = len(xs)
-    acc = [Fraction(0)] * k
-    for i in range(k):
-        if ys[i] == 0:
-            continue
-        basis = [Fraction(1)]
-        denom = 1
-        for j in range(k):
-            if j == i:
-                continue
-            basis = [Fraction(0)] + basis
-            for d in range(len(basis) - 1):
-                basis[d] -= xs[j] * basis[d + 1]
-            denom *= xs[i] - xs[j]
-        scale = Fraction(ys[i], denom)
-        for d, c in enumerate(basis):
-            acc[d] += scale * c
-    for d, c in enumerate(acc):
-        if c.denominator != 1:
-            raise NotIntegral(f"coefficient of q^{d} interpolates to {c}")
-    return Polynomial(tuple(int(c) for c in acc))
+    At integer nodes the divided differences of an integer polynomial are
+    integers, and integer divided differences give an integer Newton form.
+    So the interpolant is integral exactly when every division is exact.
+    """
+    coeffs = list(ys)
+    for step in range(1, len(xs)):
+        for i in range(len(xs) - 1, step - 1, -1):
+            num, den = coeffs[i] - coeffs[i - 1], xs[i] - xs[i - step]
+            coeffs[i], rest = divmod(num, den)
+            if rest:
+                raise NotIntegral(
+                    f"divided difference {num}/{den} over q = {xs[i - step]}..{xs[i]} "
+                    "is not an integer"
+                )
+    poly = Polynomial((coeffs[-1],))
+    for x, c in zip(reversed(xs[:-1]), reversed(coeffs[:-1])):
+        poly = poly * Polynomial((-x, 1)) + c
+    return poly
 
 
 def interpolate_quasi(
@@ -426,7 +423,7 @@ def interpolate_quasi(
         first = k if k >= 2 else 1 + period
         xs = [first + period * j for j in range(m + 1)]
         ys = [brute_force_count(mat, x, budget) for x in xs]
-        poly = _lagrange_integer_poly(xs, ys)
+        poly = _newton_integer_poly(xs, ys)
         if poly.degree != m or not poly.is_monic:
             raise NotMonic(
                 f"residue class {k} interpolates to {poly}, "

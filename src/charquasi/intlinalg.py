@@ -108,23 +108,37 @@ def _hnf_add(
 
     A basis is m rows of length m: row p is zero or has a positive pivot at
     column p, and the entries above each pivot lie in [0, pivot).  The
-    result has the same form, so equal lattices give equal tuples.
+    result has the same form, so equal lattices give equal tuples; when
+    vec already lies in the lattice it is basis itself.
     """
-    rows = [list(r) for r in basis]
-    v = list(vec)
+    rows = list(basis)
+    v = vec
+    first = len(rows)
     for p, r in enumerate(rows):
-        # Euclid on row p and v at column p; a zero row simply takes v.
-        while v[p]:
-            k = r[p] // v[p]
-            r, v = v, [a - k * b for a, b in zip(r, v)]
-        rows[p] = r if r[p] >= 0 else [-x for x in r]
-    for p, r in enumerate(rows):
+        if v[p] and r[p] and v[p] % r[p] == 0:
+            # The pivot divides the entry: one step, and row p stays.
+            k = v[p] // r[p]
+            v = [a - k * b for a, b in zip(v, r)]
+        elif v[p]:
+            # Euclid on row p and v at column p; a zero row simply takes v.
+            while v[p]:
+                k = r[p] // v[p]
+                r, v = v, [a - k * b for a, b in zip(r, v)]
+            rows[p] = r if r[p] >= 0 else [-x for x in r]
+            first = min(first, p)
+    if first == len(rows):
+        return basis
+    # Rows above the first changed pivot were reduced against each other.
+    # Row p is zero left of column p, so whole-row updates touch only
+    # columns p and up.
+    for p in range(first, len(rows)):
+        r = rows[p]
         if r[p]:
-            for above in rows[:p]:
-                k = above[p] // r[p]
-                for j in range(p, len(r)):
-                    above[j] -= k * r[j]
-    return tuple(tuple(r) for r in rows)
+            for i in range(p):
+                k = rows[i][p] // r[p]
+                if k:
+                    rows[i] = [a - k * b for a, b in zip(rows[i], r)]
+    return tuple(map(tuple, rows))
 
 
 def _span(m: int, vectors: Iterable[Sequence[int]]) -> tuple[tuple[int, ...], ...]:
@@ -135,19 +149,24 @@ def _span(m: int, vectors: Iterable[Sequence[int]]) -> tuple[tuple[int, ...], ..
 def _basis_divisors(basis: tuple[tuple[int, ...], ...]) -> tuple[int, ...]:
     """Elementary divisors of the lattice of a row Hermite normal form.
 
-    Once every nonzero pivot divides the entries to its right in its row,
-    column operations alone clear those entries (top row first; rows with
-    a zero pivot are zero), so the nonzero pivots are an equivalent
-    diagonal.  Until then the basis is replaced by the Hermite form of its
-    columns, an equivalent matrix (the transpose times a unimodular one).
-    That ends: the first unsettled pivot drops to the gcd of its row each
-    round, and a settled pivot becomes isolated, its row and column zero
-    apart from itself, and stays so.
+    A unit pivot has zeros above it, so column operations clear its row:
+    it splits off as a divisor 1, and deleting its row and column leaves a
+    Hermite form of the rest.  Once every nonzero pivot divides the entries
+    to its right in its row, column operations alone clear those entries
+    (top row first; rows with a zero pivot are zero), so the nonzero pivots
+    are an equivalent diagonal.  Until then the basis is replaced by the
+    Hermite form of its columns, an equivalent matrix (the transpose times
+    a unimodular one).  That ends: the first unsettled pivot drops to the
+    gcd of its row each round, and a settled pivot becomes isolated, its
+    row and column zero apart from itself, and stays so.
     """
+    keep = [p for p, r in enumerate(basis) if r[p] != 1]
+    units = (1,) * (len(basis) - len(keep))
+    basis = tuple(tuple(basis[i][j] for j in keep) for i in keep)
     m = len(basis)
     while any(r[p] and any(v % r[p] for v in r[p + 1 :]) for p, r in enumerate(basis)):
         basis = _span(m, zip(*basis))
-    return tuple(_chain_fix(r[p] for p, r in enumerate(basis) if r[p]))
+    return units + tuple(_chain_fix(r[p] for p, r in enumerate(basis) if r[p]))
 
 
 @lru_cache(maxsize=16)

@@ -152,6 +152,22 @@ class TestQuasi:
         assert code == 0
         assert out == "period 1\nk=1: q^2 - q\n"
 
+    def test_b1_family_and_file_routes_agree(self, capsys, tmp_path):
+        # B_1 is one hyperplane x = 0: period 1, whichever route computes it.
+        path = tmp_path / "b1.txt"
+        main(["gen", "--family", "B", "--m", "1"])
+        path.write_text(capsys.readouterr().out)
+        family = ("--family", "B", "--m", "1")
+        routes = [
+            (*family, "--method", "closed-form"),
+            (*family, "--method", "interpolate"),
+            (str(path), "--method", "interpolate"),
+        ]
+        for route in routes:
+            assert run_cli(capsys, "quasi", *route) == (0, "period 1\nk=1: q - 1\n", "")
+        code, out, _ = run_cli(capsys, "verify", *family, "--qmax", "3")
+        assert code == 0 and "rho = 1\n" in out
+
     def test_file_and_family_conflict(self, capsys, b2_file):
         code, _, err = run_cli(
             capsys, "quasi", b2_file, "--family", "B", "--m", "2",
@@ -335,6 +351,8 @@ with redirect_stdout(io.StringIO()):
     stage("period")
     charquasi.cli.main(["count", sys.argv[1], "--q", "5", "--method", "snf"])
     stage("snf")
+    charquasi.cli.main(["quasi", sys.argv[1], "--method", "interpolate"])
+    stage("interpolate")
 """
 
 
@@ -394,6 +412,8 @@ class TestStartUp:
         assert not loaded["period"] & {"charquasi.counting", "charquasi.closedforms"}
         assert "charquasi.counting" in loaded["snf"]
         assert "charquasi.closedforms" not in loaded["snf"]
+        # Interpolation divides in integers; fractions is never loaded.
+        assert "fractions" not in loaded["interpolate"]
 
 
 def _per_k_quasi_text(family: str, spec: DeformSpec) -> str:

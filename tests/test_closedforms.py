@@ -1,4 +1,8 @@
-"""Closed-form constituents against the literal counts and each other."""
+"""Closed-form constituents against the literal counts and each other.
+
+The reflection families have no formulas of their own in the package; the
+classical root products below are their oracle here.
+"""
 
 import math
 
@@ -17,9 +21,13 @@ from charquasi import (
     chi_deform_a,
     chi_deform_d,
     chi_deform_d_tm,
+    coxeter_spec,
+    deform_quasi,
     gen_coxeter,
     gen_deform_a,
     gen_deform_d,
+    lcm_period,
+    verify_minimum_period,
 )
 from charquasi.closedforms import _even_constituent_d
 
@@ -73,6 +81,68 @@ class TestChiCoxeter:
     def test_unknown_family(self):
         with pytest.raises(ValueError):
             chi_coxeter("E", 2)
+
+
+# Every reflection arrangement with hyperplanes, m = 1..6.
+NONEMPTY = [(f, m) for f in "ABCD" for m in range(1, 7) if m > 1 or f in "BC"]
+
+
+def _classical_count(family: str, m: int, q: int) -> int:
+    """Classical root products of the reflection families, at one modulus q."""
+    if family == "A":
+        return math.prod(q - i for i in range(m))
+    odd = math.prod(q - 2 * i + 1 for i in range(1, m + 1))
+    if q % 2:
+        if family == "D":
+            return (q - m + 1) * math.prod(q - 2 * i + 1 for i in range(1, m))
+        return odd
+    if family == "B":
+        return (q - m) * math.prod(q - 2 * i for i in range(1, m))
+    if family == "C":
+        return math.prod(q - 2 * i for i in range(1, m + 1))
+    return (q * q - 2 * (m - 1) * q + m * (m - 1)) * math.prod(
+        q - 2 * i for i in range(1, m - 1)
+    )
+
+
+class TestCoxeterAsDeformation:
+    def test_mapping(self):
+        assert coxeter_spec("A", 3) == ("Adeform", DeformSpec(3))
+        assert coxeter_spec("B", 3) == ("Ddeform", DeformSpec(3, (1, 1, 1), 0))
+        assert coxeter_spec("C", 3) == ("Ddeform", DeformSpec(3, (2, 2, 2), 3))
+        assert coxeter_spec("D", 3) == ("Ddeform", DeformSpec(3, (), 0))
+        assert coxeter_spec("B", 1) == ("Adeform", DeformSpec(1, (1,)))
+        assert coxeter_spec("C", 1) == ("Adeform", DeformSpec(1, (2,)))
+
+    @pytest.mark.parametrize("family", ["A", "D"])
+    def test_empty_messages(self, family):
+        with pytest.raises(EmptyArrangement) as exc:
+            coxeter_spec(family, 1)
+        assert str(exc.value) == f"empty arrangement: {family}_1 has no hyperplanes"
+
+    @pytest.mark.parametrize("family", ["A", "B", "C", "D"])
+    @pytest.mark.parametrize("m", range(2, 9))
+    def test_classical_root_products(self, family, m):
+        # Degree m per parity class: agreement at m + 1 moduli of each
+        # parity is agreement as polynomials.
+        qp = chi_coxeter(family, m)
+        for q in range(1, 2 * m + 3):
+            assert qp(q) == _classical_count(family, m, q), (family, m, q)
+
+    @pytest.mark.parametrize("family, m", NONEMPTY)
+    def test_generator_reads_the_deformation(self, family, m):
+        deform, spec = coxeter_spec(family, m)
+        gen = gen_deform_a if deform == "Adeform" else gen_deform_d
+        assert gen_coxeter(family, m) == gen(spec)
+        assert chi_coxeter(family, m) == deform_quasi(deform, spec)
+
+    @pytest.mark.parametrize("family, m", NONEMPTY)
+    def test_period_is_lcm_period_and_minimal(self, family, m):
+        qp = chi_coxeter(family, m)
+        mat = gen_coxeter(family, m)
+        # A cap of n columns is exact and skips the policy limit on n.
+        assert qp.period == lcm_period(mat, mat.cols).value
+        assert verify_minimum_period(qp)
 
 
 class TestChiDeformA:

@@ -3,10 +3,13 @@
 brute_force_count is the ground truth by definition (it enumerates the
 counted set literally), so everything else is measured against it; its
 bitset kernel is additionally measured against _plain_count, a plain-integer
-loop over the same points kept here as its oracle.
+loop over the same points kept here as its oracle.  The integer Newton step
+of interpolation is measured against _lagrange_integer_poly, Lagrange
+interpolation over the rationals.
 """
 
 import math
+from fractions import Fraction
 from itertools import product
 
 import pytest
@@ -34,7 +37,7 @@ from charquasi import (
     verify_minimum_period,
 )
 from charquasi import counting
-from charquasi.counting import _CHUNK, _TABLE_BITS, _lagrange_integer_poly
+from charquasi.counting import _CHUNK, _TABLE_BITS, _newton_integer_poly
 from charquasi.intlinalg import _lattice_table
 
 from conftest import EDGE_MATRICES, int_matrices
@@ -51,6 +54,31 @@ def _plain_count(mat: IntMatrix, q: int) -> int:
         else:
             count += 1
     return count
+
+
+def _lagrange_integer_poly(xs: list[int], ys: list[int]) -> Polynomial:
+    """Interpolating polynomial through (xs[i], ys[i]) over the rationals; must be integral."""
+    k = len(xs)
+    acc = [Fraction(0)] * k
+    for i in range(k):
+        if ys[i] == 0:
+            continue
+        basis = [Fraction(1)]
+        denom = 1
+        for j in range(k):
+            if j == i:
+                continue
+            basis = [Fraction(0)] + basis
+            for d in range(len(basis) - 1):
+                basis[d] -= xs[j] * basis[d + 1]
+            denom *= xs[i] - xs[j]
+        scale = Fraction(ys[i], denom)
+        for d, c in enumerate(basis):
+            acc[d] += scale * c
+    for d, c in enumerate(acc):
+        if c.denominator != 1:
+            raise NotIntegral(f"coefficient of q^{d} interpolates to {c}")
+    return Polynomial(tuple(int(c) for c in acc))
 
 
 def _mixed_matrix(m: int) -> IntMatrix:
@@ -403,12 +431,32 @@ class TestInterpolation:
             interpolate_quasi(gen_coxeter("B", 2), 2, budget=10)
 
     def test_lagrange_exact(self):
-        poly = _lagrange_integer_poly([2, 3, 4], [0, 0, 4])
+        poly = _newton_integer_poly([2, 3, 4], [0, 0, 4])
         assert poly == Polynomial((12, -10, 2))
 
     def test_lagrange_rejects_fractional(self):
         with pytest.raises(NotIntegral):
-            _lagrange_integer_poly([2, 3, 4], [0, 0, 1])
+            _newton_integer_poly([2, 3, 4], [0, 0, 1])
+
+    @given(
+        st.lists(st.integers(-60, 60), min_size=1, max_size=7, unique=True),
+        st.data(),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_newton_matches_lagrange(self, xs, data):
+        if data.draw(st.booleans()):
+            # Values of an integer polynomial: the interpolant is integral.
+            coeffs = data.draw(st.lists(st.integers(-10**6, 10**6), max_size=len(xs)))
+            ys = [Polynomial(coeffs)(x) for x in xs]
+        else:
+            ys = data.draw(st.lists(st.integers(-50, 50), min_size=len(xs), max_size=len(xs)))
+        try:
+            want = _lagrange_integer_poly(xs, ys)
+        except NotIntegral:
+            with pytest.raises(NotIntegral):
+                _newton_integer_poly(xs, ys)
+        else:
+            assert _newton_integer_poly(xs, ys) == want
 
     @pytest.mark.parametrize(
         "mat, rho",

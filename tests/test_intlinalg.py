@@ -4,10 +4,13 @@ The independent oracle for smith_divisors is the determinantal-divisor
 characterization: the product e_1 ... e_k equals the gcd of all k x k
 minors, computed here by literal Laplace expansion over all row and column
 subsets.  The oracle for lcm_period is unpruned enumeration of every
-nonempty column subset through the public API.
+nonempty column subset through the public API.  The lattice table is also
+compared entry for entry with _lattice_table_ref, built from a plain
+Hermite-form routine that reduces every row on every call.
 """
 
 import math
+from functools import reduce
 from itertools import combinations
 
 import pytest
@@ -30,7 +33,7 @@ from charquasi import (
     lcm_period,
     smith_divisors,
 )
-from charquasi.intlinalg import _lattice_table, _span
+from charquasi.intlinalg import _chain_fix, _lattice_table, _span
 
 from conftest import EDGE_MATRICES, int_matrices
 
@@ -64,6 +67,81 @@ def _naive_lcm_period(mat: IntMatrix, cap: int | None = None) -> int:
             divs = smith_divisors(column_submatrix(mat, J)).divisors
             acc = math.lcm(acc, divs[-1])
     return acc
+
+
+def _hnf_add_ref(basis, vec):
+    """Row Hermite form of basis plus vec by Euclid on every pivot, then a full back-reduction."""
+    rows = [list(r) for r in basis]
+    v = list(vec)
+    for p, r in enumerate(rows):
+        while v[p]:
+            k = r[p] // v[p]
+            r, v = v, [a - k * b for a, b in zip(r, v)]
+        rows[p] = r if r[p] >= 0 else [-x for x in r]
+    for p, r in enumerate(rows):
+        if r[p]:
+            for above in rows[:p]:
+                k = above[p] // r[p]
+                for j in range(p, len(r)):
+                    above[j] -= k * r[j]
+    return tuple(tuple(r) for r in rows)
+
+
+def _basis_divisors_ref(basis):
+    """Elementary divisors of a row Hermite form, by column rounds on the whole basis."""
+    m = len(basis)
+    while any(r[p] and any(v % r[p] for v in r[p + 1 :]) for p, r in enumerate(basis)):
+        basis = reduce(_hnf_add_ref, zip(*basis), ((0,) * m,) * m)
+    return tuple(_chain_fix(r[p] for p, r in enumerate(basis) if r[p]))
+
+
+def _lattice_table_ref(mat, cap):
+    table = {((0,) * mat.rows,) * mat.rows: (1, 0)}
+    for col in mat.columns():
+        grown = dict(table)
+        for basis, (count, size) in table.items():
+            if size < cap:
+                key = _hnf_add_ref(basis, col)
+                prev, least = grown.get(key, (0, size + 1))
+                grown[key] = (prev - count, min(least, size + 1))
+        table = grown
+    return tuple((count, _basis_divisors_ref(basis)) for basis, (count, _) in table.items())
+
+
+@st.composite
+def lattice_inputs(draw):
+    """Matrices with small or huge entries, often of deficient rank."""
+    m = draw(st.integers(1, 4))
+    n = draw(st.integers(1, 7))
+    bound = draw(st.sampled_from([3, 40, 2**70]))
+    entry = st.integers(-bound, bound)
+    rank = draw(st.integers(1, m))
+    gens = draw(st.lists(st.lists(entry, min_size=m, max_size=m), min_size=rank, max_size=rank))
+    cols = []
+    for _ in range(n):
+        coeffs = draw(st.lists(st.integers(-3, 3), min_size=rank, max_size=rank))
+        col = [sum(c * g[i] for c, g in zip(coeffs, gens)) for i in range(m)]
+        cols.append(col if any(col) else draw(st.lists(entry, min_size=m, max_size=m).filter(any)))
+    return IntMatrix.from_columns(cols)
+
+
+class TestLatticeTableReference:
+    @given(lattice_inputs())
+    @settings(max_examples=150, deadline=None)
+    def test_matches_reference_at_every_cap(self, mat):
+        for cap in range(1, mat.cols + 1):
+            assert _lattice_table(mat, cap) == _lattice_table_ref(mat, cap), cap
+
+    @pytest.mark.parametrize(
+        "mat", [m for _, m in EDGE_MATRICES], ids=[i for i, _ in EDGE_MATRICES]
+    )
+    def test_edge_inputs_match_reference(self, mat):
+        for cap in range(1, mat.cols + 1):
+            assert _lattice_table(mat, cap) == _lattice_table_ref(mat, cap), cap
+
+    def test_deformation_matches_reference(self):
+        mat = gen_deform_d(DeformSpec(4, (6, 3, 1), 1))
+        assert _lattice_table(mat, mat.cols) == _lattice_table_ref(mat, mat.cols)
 
 
 class TestElementaryDivisors:
