@@ -12,17 +12,20 @@ __version__ = "0.1.0"
 _EXPORTS = {
     "arrangements": (
         "COXETER_FAMILIES",
+        "DEFORM_FAMILIES",
         "DeformSpec",
         "IntMatrix",
         "coxeter_spec",
         "format_matrix",
         "gen_coxeter",
+        "gen_deform",
         "gen_deform_a",
         "gen_deform_d",
+        "known_period",
         "parse_matrix",
     ),
     "closedforms": (
-        "chi_coxeter", "chi_deform_a", "chi_deform_d", "chi_deform_d_tm", "deform_quasi"
+        "chi_coxeter", "chi_deform", "chi_deform_a", "chi_deform_d", "deform_quasi"
     ),
     "counting": (
         "Polynomial",
@@ -43,14 +46,12 @@ _EXPORTS = {
         "InvalidResidue",
         "NotIntegral",
         "NotMonic",
-        "SpecMismatch",
         "TooManyColumns",
     ),
     "intlinalg": (
         "ElementaryDivisors",
         "PeriodResult",
         "column_submatrix",
-        "known_period",
         "lcm_period",
         "smith_divisors",
     ),

@@ -16,6 +16,10 @@ one place that says which:
 
 with B_1 = A_1(1) and C_1 = A_1(2), since D-type pairs need m >= 2.
 
+known_period is the one place that decides whether a (family, spec) pair
+is an arrangement at all; gen_deform and closedforms.chi_deform are the
+one place each where the family name picks a generator or a formula.
+
 Column order is canonical: diagonal columns first in index order, then for
 each pair i < j in lexicographic order the column e_i - e_j followed, where
 the family has it, by e_i + e_j.  Counting results never depend on column
@@ -34,12 +38,14 @@ every other layer already imports this module.
 
 from __future__ import annotations
 
+import math
 import operator
 from typing import Iterable, Sequence
 
 from .errors import EmptyArrangement, InvalidChain, InvalidParity
 
 COXETER_FAMILIES = ("A", "B", "C", "D")
+DEFORM_FAMILIES = ("Adeform", "Ddeform")
 
 
 class _Value:
@@ -175,27 +181,21 @@ class DeformSpec(_Value):
         return len(self.s)
 
 
-def _diagonal_columns(m: int, values: Sequence[int]) -> list[tuple[int, ...]]:
+def _deform_matrix(spec: DeformSpec, with_plus: bool) -> IntMatrix:
+    """Columns s_i e_i, then e_i - e_j (and e_i + e_j when with_plus), i < j."""
+    m = spec.m
     cols = []
-    for i, v in enumerate(values):
+    for i, v in enumerate(spec.s):
         col = [0] * m
         col[i] = v
-        cols.append(tuple(col))
-    return cols
-
-
-def _pair_columns(m: int, with_plus: bool) -> list[tuple[int, ...]]:
-    cols = []
+        cols.append(col)
     for i in range(m):
         for j in range(i + 1, m):
-            minus = [0] * m
-            minus[i], minus[j] = 1, -1
-            cols.append(tuple(minus))
-            if with_plus:
-                plus = [0] * m
-                plus[i], plus[j] = 1, 1
-                cols.append(tuple(plus))
-    return cols
+            for sign in (-1, 1) if with_plus else (-1,):
+                col = [0] * m
+                col[i], col[j] = 1, sign
+                cols.append(col)
+    return IntMatrix.from_columns(cols)
 
 
 def coxeter_spec(family: str, m: int) -> tuple[str, DeformSpec]:
@@ -223,13 +223,47 @@ def coxeter_spec(family: str, m: int) -> tuple[str, DeformSpec]:
     return "Ddeform", DeformSpec(m, (v,) * m, 0 if v == 1 else m)
 
 
+def known_period(spec: DeformSpec, family: str) -> int:
+    """Minimum period of a deformation family, by formula.
+
+    Adeform: s_1 for t >= 1, else 1.  Ddeform: lcm(s_1, 2) for t >= 1,
+    else 2.  This is the one check that (family, spec) names an
+    arrangement, and every generator and formula of a family runs it:
+    ValueError for an unknown family, InvalidParity for a type-D spec
+    without the parity split r, EmptyArrangement for type D with m < 2
+    (its e_i +- e_j part is empty) and for A_1 with t = 0.
+    """
+    if family == "Adeform":
+        if spec.m == 1 and not spec.t:
+            raise EmptyArrangement(
+                "empty arrangement: A_1 with t = 0 has no hyperplanes"
+            )
+        return spec.s[0] if spec.t else 1
+    if family == "Ddeform":
+        if spec.r is None:
+            raise InvalidParity("type-D deformation needs the even-prefix length r")
+        if spec.m < 2:
+            raise EmptyArrangement("empty arrangement: type-D deformation needs m >= 2")
+        return math.lcm(spec.s[0], 2) if spec.t else 2
+    raise ValueError(f"unknown deformation family {family!r}")
+
+
 def gen_coxeter(family: str, m: int) -> IntMatrix:
     """Normal matrix of the reflection arrangement of the given family.
 
     Raises EmptyArrangement when the combination has no hyperplanes
     (A with m = 1, D with m = 1).
     """
-    family, spec = coxeter_spec(family, m)
+    return gen_deform(*coxeter_spec(family, m))
+
+
+def gen_deform(family: str, spec: DeformSpec) -> IntMatrix:
+    """Normal matrix of a deformation family.
+
+    The one place a family name picks its generator; an unknown name fails
+    in known_period as it does everywhere.
+    """
+    known_period(spec, family)
     return gen_deform_a(spec) if family == "Adeform" else gen_deform_d(spec)
 
 
@@ -237,34 +271,16 @@ def gen_deform_a(spec: DeformSpec) -> IntMatrix:
     """Normal matrix of A_m(s): columns s_i e_i, then the A_m pairs.
 
     The parity field r is ignored.  With t = 0 this is exactly
-    gen_coxeter("A", m), including the empty-arrangement error for m = 1.
+    gen_coxeter("A", m).
     """
-    cols = _diagonal_columns(spec.m, spec.s)
-    cols += _pair_columns(spec.m, with_plus=False)
-    if not cols:
-        raise EmptyArrangement(
-            "empty arrangement: A_1 with t = 0 has no hyperplanes"
-        )
-    return IntMatrix.from_columns(cols)
+    known_period(spec, "Adeform")
+    return _deform_matrix(spec, with_plus=False)
 
 
 def gen_deform_d(spec: DeformSpec) -> IntMatrix:
-    """Normal matrix of D_m(s): columns s_i e_i, then the D_m pairs.
-
-    Requires the parity split r to be declared on the spec and m >= 2 (the
-    e_i +- e_j part of type D is empty below dimension 2).
-    """
-    if spec.r is None:
-        raise InvalidParity(
-            "type-D deformation needs the even-prefix length r"
-        )
-    if spec.m < 2:
-        raise EmptyArrangement(
-            "empty arrangement: type-D deformation needs m >= 2"
-        )
-    cols = _diagonal_columns(spec.m, spec.s)
-    cols += _pair_columns(spec.m, with_plus=True)
-    return IntMatrix.from_columns(cols)
+    """Normal matrix of D_m(s): columns s_i e_i, then the D_m pairs."""
+    known_period(spec, "Ddeform")
+    return _deform_matrix(spec, with_plus=True)
 
 
 def format_matrix(mat: IntMatrix) -> str:

@@ -24,48 +24,16 @@ import time
 
 from .arrangements import (
     COXETER_FAMILIES,
+    DEFORM_FAMILIES,
     DeformSpec,
     IntMatrix,
     coxeter_spec,
     format_matrix,
-    gen_deform_a,
-    gen_deform_d,
+    gen_deform,
+    known_period,
     parse_matrix,
 )
 from .errors import CharQuasiError
-
-DEFORM_FAMILIES = ("Adeform", "Ddeform")
-
-
-class RunReport:
-    """Cross-check record printed by the verify subcommand.
-
-    Each row holds the counts of one modulus q under every method run;
-    the verdict is 'pass' exactly when all counts agree in every row.
-    """
-
-    def __init__(self, spec: str, rho: int) -> None:
-        self.spec = spec
-        self.rho = rho
-        self.rows: list[dict[str, int]] = []
-        self.ms = 0
-
-    @property
-    def verdict(self) -> str:
-        for row in self.rows:
-            vals = {v for key, v in row.items() if key != "q"}
-            if len(vals) > 1:
-                return "fail"
-        return "pass"
-
-    def to_dict(self) -> dict:
-        return {
-            "spec": self.spec,
-            "rho": self.rho,
-            "rows": self.rows,
-            "verdict": self.verdict,
-            "ms": self.ms,
-        }
 
 
 def _parse_s(text: str) -> tuple[int, ...]:
@@ -117,10 +85,6 @@ def _family_from_args(args: argparse.Namespace) -> tuple[str, str, DeformSpec]:
     return f"{label} r={r}", "Ddeform", DeformSpec(args.m, s, r)
 
 
-def _build_matrix(family: str, spec: DeformSpec) -> IntMatrix:
-    return (gen_deform_a if family == "Adeform" else gen_deform_d)(spec)
-
-
 def _read_matrix(path: str) -> IntMatrix:
     with open(path) as fh:
         return parse_matrix(fh.read())
@@ -128,7 +92,7 @@ def _read_matrix(path: str) -> IntMatrix:
 
 def cmd_gen(args: argparse.Namespace) -> int:
     _, family, spec = _family_from_args(args)
-    sys.stdout.write(format_matrix(_build_matrix(family, spec)))
+    sys.stdout.write(format_matrix(gen_deform(family, spec)))
     return 0
 
 
@@ -155,13 +119,14 @@ def cmd_count(args: argparse.Namespace) -> int:
 
 def cmd_quasi(args: argparse.Namespace) -> int:
     from .counting import interpolate_quasi
-    from .intlinalg import known_period, lcm_period
 
     if args.matrix is not None and args.family is not None:
         raise ValueError("give either a matrix file or --family, not both")
     if args.matrix is not None:
         if args.method == "closed-form":
             raise ValueError("closed-form output needs a built-in --family")
+        from .intlinalg import lcm_period
+
         mat = _read_matrix(args.matrix)
         qp = interpolate_quasi(mat, lcm_period(mat).value)
     elif args.family is not None:
@@ -171,8 +136,7 @@ def cmd_quasi(args: argparse.Namespace) -> int:
 
             qp = deform_quasi(family, spec)
         else:
-            mat = _build_matrix(family, spec)
-            qp = interpolate_quasi(mat, known_period(spec, family))
+            qp = interpolate_quasi(gen_deform(family, spec), known_period(spec, family))
     else:
         raise ValueError("need a matrix file or --family")
     # Closed forms repeat few distinct constituents; format each one once.
@@ -184,44 +148,46 @@ def cmd_quasi(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    from .closedforms import chi_deform_a, chi_deform_d
+    from .closedforms import chi_deform
     from .counting import brute_force_count, snf_count
-    from .intlinalg import known_period
 
     if args.qmax < 1:
         raise ValueError("--qmax must be >= 1")
     started = time.perf_counter()
     label, family, spec = _family_from_args(args)
-    mat = _build_matrix(family, spec)
+    mat = gen_deform(family, spec)
+    rho = known_period(spec, family)
     # Only qmax constituents are needed, never the rho-long quasi-polynomial;
-    # chi reduces each modulus q to its class itself.
-    chi = chi_deform_a if family == "Adeform" else chi_deform_d
-    report = RunReport(spec=label, rho=known_period(spec, family))
-    for q in range(1, args.qmax + 1):
-        report.rows.append(
-            {
-                "q": q,
-                "brute": brute_force_count(mat, q),
-                "snf": snf_count(mat, q),
-                "closed": chi(spec, q)(q),
-            }
-        )
-    report.ms = round((time.perf_counter() - started) * 1000)
+    # chi reduces each modulus q to its class itself.  The verdict is 'pass'
+    # exactly when the three counts agree in every row.
+    rows = [
+        {
+            "q": q,
+            "brute": brute_force_count(mat, q),
+            "snf": snf_count(mat, q),
+            "closed": chi_deform(family, spec, q)(q),
+        }
+        for q in range(1, args.qmax + 1)
+    ]
+    agree = all(row["brute"] == row["snf"] == row["closed"] for row in rows)
+    verdict = "pass" if agree else "fail"
+    ms = round((time.perf_counter() - started) * 1000)
     if args.json:
         import json
 
-        print(json.dumps(report.to_dict()))
+        report = {"spec": label, "rho": rho, "rows": rows, "verdict": verdict, "ms": ms}
+        print(json.dumps(report))
     else:
-        print(f"spec: {report.spec}")
-        print(f"rho = {report.rho}")
+        print(f"spec: {label}")
+        print(f"rho = {rho}")
         print(f"{'q':>4} {'brute':>10} {'snf':>10} {'closed':>10}")
-        for row in report.rows:
+        for row in rows:
             print(
                 f"{row['q']:>4} {row['brute']:>10} {row['snf']:>10} "
                 f"{row['closed']:>10}"
             )
-        print(f"verdict: {report.verdict} ({report.ms} ms)")
-    return 0 if report.verdict == "pass" else 1
+        print(f"verdict: {verdict} ({ms} ms)")
+    return 0 if agree else 1
 
 
 def build_parser() -> argparse.ArgumentParser:

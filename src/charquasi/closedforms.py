@@ -18,7 +18,8 @@ even-residue type-D formula the correction sum's first inner product runs
 over j = r+1, ..., i-1.  A plausible-looking variant that starts at j = 1
 re-multiplies the even-prefix factors and overcounts; for m = 2, r = 1,
 s = (2, 1) at q = 6 it yields 20 where direct enumeration gives 12.  The
-wrong variant is kept private so regression tests can pin the disagreement.
+wrong variant lives in tests/test_closedforms.py, which pins the
+disagreement; the library holds only the formula it evaluates.
 """
 
 from __future__ import annotations
@@ -27,10 +28,9 @@ import math
 import operator
 from typing import Sequence
 
-from .arrangements import DeformSpec, coxeter_spec
+from .arrangements import DeformSpec, coxeter_spec, known_period
 from .counting import Polynomial, QuasiPolynomial
-from .errors import EmptyArrangement, InvalidParity, InvalidResidue, SpecMismatch
-from .intlinalg import known_period
+from .errors import InvalidResidue
 
 
 def _reduce_residue(k: int, rho: int) -> int:
@@ -61,10 +61,19 @@ def deform_quasi(family: str, spec: DeformSpec) -> QuasiPolynomial:
     A constituent depends on k only through gcd(k, rho), so each divisor
     of the period rho is evaluated once and its classes share the result.
     """
-    chi = chi_deform_a if family == "Adeform" else chi_deform_d
     rho = known_period(spec, family)
-    by_gcd = {g: chi(spec, g) for g in range(1, rho + 1) if rho % g == 0}
+    by_gcd = {g: chi_deform(family, spec, g) for g in range(1, rho + 1) if rho % g == 0}
     return QuasiPolynomial(rho, (by_gcd[math.gcd(k, rho)] for k in range(1, rho + 1)))
+
+
+def chi_deform(family: str, spec: DeformSpec, k: int) -> Polynomial:
+    """Constituent of a deformation family for the residue class of k.
+
+    The one place a family name picks its formula; an unknown name fails
+    in known_period as it does everywhere.
+    """
+    known_period(spec, family)
+    return chi_deform_a(spec, k) if family == "Adeform" else chi_deform_d(spec, k)
 
 
 def chi_deform_a(spec: DeformSpec, k: int) -> Polynomial:
@@ -73,21 +82,12 @@ def chi_deform_a(spec: DeformSpec, k: int) -> Polynomial:
         prod_{i=1}^{t} (q - d_i - i + 1) * prod_{i=t+1}^{m} (q - i + 1),
 
     with d_i = gcd(k', s_i) after gcd-reduction of k.  The parity field r
-    is ignored.  With t = 0, m = 1 the arrangement is empty (error).
+    is ignored.
     """
-    if spec.t == 0 and spec.m == 1:
-        raise EmptyArrangement("empty arrangement: A_1 has no hyperplanes")
     kp = _reduce_residue(k, known_period(spec, "Adeform"))
     roots = [math.gcd(kp, v) + i for i, v in enumerate(spec.s)]
     roots += range(spec.t, spec.m)
     return Polynomial.from_roots(roots)
-
-
-def _require_d_spec(spec: DeformSpec) -> None:
-    if spec.r is None:
-        raise InvalidParity("type-D deformation needs the even-prefix length r")
-    if spec.m < 2:
-        raise EmptyArrangement("empty arrangement: type-D deformation needs m >= 2")
 
 
 def _odd_constituent_d(m: int, t: int, d: Sequence[int]) -> Polynomial:
@@ -97,15 +97,8 @@ def _odd_constituent_d(m: int, t: int, d: Sequence[int]) -> Polynomial:
     return head * tail
 
 
-def _even_constituent_d(
-    m: int, r: int, t: int, d: Sequence[int], overcount_prefix: bool = False
-) -> Polynomial:
-    """Even-residue constituent prefix * (P1 + P2) of D_m(s).
-
-    overcount_prefix=True reproduces the wrong variant whose correction
-    sum starts its first inner product at j = 1 instead of j = r + 1; it
-    exists only so tests can pin the discrepancy.
-    """
+def _even_constituent_d(m: int, r: int, t: int, d: Sequence[int]) -> Polynomial:
+    """Even-residue constituent prefix * (P1 + P2) of D_m(s)."""
     prefix = Polynomial.from_roots(d[i] + 2 * i for i in range(r))
     p1 = Polynomial.from_roots(d[i] + 2 * i + 1 for i in range(r, t))
     p1 *= (
@@ -114,10 +107,9 @@ def _even_constituent_d(
         + (m - t) * (m - t - 1)
         * Polynomial.from_roots(2 * i + 2 for i in range(t, m - 2))
     )
-    lo = 0 if overcount_prefix else r
     correction = Polynomial(())
     for i in range(r, t):
-        left = Polynomial.from_roots(d[j] + 2 * j + 1 for j in range(lo, i))
+        left = Polynomial.from_roots(d[j] + 2 * j + 1 for j in range(r, i))
         right = Polynomial.from_roots(d[j] + 2 * j - 1 for j in range(i + 1, t))
         correction += left * right
     p2 = correction * (
@@ -130,9 +122,9 @@ def _even_constituent_d(
 def chi_deform_d(spec: DeformSpec, k: int) -> Polynomial:
     """Constituent of D_m(s) for the residue class of k.
 
-    Requires the parity split r on the spec and m >= 2.  k is gcd-reduced
-    modulo the period lcm(s_1, 2) (2 when t = 0); the period is even, so
-    the reduction preserves the parity of k.  Odd classes use
+    k is gcd-reduced modulo the period lcm(s_1, 2) (2 when t = 0); the
+    period is even, so the reduction preserves the parity of k.  Odd
+    classes use
 
         prod_{i=1}^{t} (q - d_i - 2i + 2)
         * (prod_{i=t+1}^{m} (q - 2i + 1) + (m - t) prod_{i=t+1}^{m-1} (q - 2i + 1)),
@@ -140,42 +132,8 @@ def chi_deform_d(spec: DeformSpec, k: int) -> Polynomial:
     even classes use the prefix-times-(P1 + P2) form whose correction sum
     starts at j = r + 1 (see the module docstring for the wrong variant).
     """
-    _require_d_spec(spec)
     kp = _reduce_residue(k, known_period(spec, "Ddeform"))
     d = [math.gcd(kp, v) for v in spec.s]
     if kp % 2:
         return _odd_constituent_d(spec.m, spec.t, d)
     return _even_constituent_d(spec.m, spec.r, spec.t, d)
-
-
-def chi_deform_d_tm(spec: DeformSpec, k: int) -> Polynomial:
-    """Constituent of D_m(s) in the fully deformed case t = m.
-
-    Implements the specialized formulas directly (no (m - t) terms): odd
-    classes give prod_{i=1}^{m} (q - d_i - 2i + 2); even classes give
-
-        prod_{i=1}^{r} (q - d_i - 2i + 2)
-        * (prod_{i=r+1}^{m} (q - d_i - 2i + 1)
-           + sum_{i=r+1}^{m} prod_{j=r+1}^{i-1} (q - d_j - 2j + 1)
-                             prod_{j=i+1}^{m} (q - d_j - 2j + 3)).
-
-    Raises SpecMismatch when t != m.  Agreement with chi_deform_d is part
-    of the test suite.
-    """
-    _require_d_spec(spec)
-    if spec.t != spec.m:
-        raise SpecMismatch(
-            f"specialization needs t = m, got t = {spec.t}, m = {spec.m}"
-        )
-    m, r = spec.m, spec.r
-    kp = _reduce_residue(k, known_period(spec, "Ddeform"))
-    d = [math.gcd(kp, v) for v in spec.s]
-    if kp % 2:
-        return Polynomial.from_roots(d[i] + 2 * i for i in range(m))
-    prefix = Polynomial.from_roots(d[i] + 2 * i for i in range(r))
-    bracket = Polynomial.from_roots(d[i] + 2 * i + 1 for i in range(r, m))
-    for i in range(r, m):
-        left = Polynomial.from_roots(d[j] + 2 * j + 1 for j in range(r, i))
-        right = Polynomial.from_roots(d[j] + 2 * j - 1 for j in range(i + 1, m))
-        bracket += left * right
-    return prefix * bracket

@@ -37,7 +37,6 @@ from typing import Iterable
 
 from .arrangements import IntMatrix, _Value
 from .errors import BudgetExceeded, NotIntegral, NotMonic, TooManyColumns
-from .intlinalg import FULL_ENUMERATION_LIMIT, _lattice_table
 
 DEFAULT_POINT_BUDGET = 10**8
 _TABLE_BITS = 1 << 20
@@ -362,6 +361,10 @@ def snf_count(mat: IntMatrix, q: int) -> int:
     grows with the lattice count.  Agreement with brute_force_count for all
     q is the core cross-check of the package.
     """
+    # Loaded here so closed-form work, which needs only the result types,
+    # never imports the subset layer.
+    from .intlinalg import FULL_ENUMERATION_LIMIT, _lattice_table
+
     q = operator.index(q)
     if q < 1:
         raise ValueError("modulus q must be >= 1")

@@ -53,7 +53,3 @@ class NotMonic(CharQuasiError):
 
 class InvalidResidue(CharQuasiError):
     """A residue-class index is not a positive integer."""
-
-
-class SpecMismatch(CharQuasiError):
-    """A deformation tuple does not have the shape an operation requires."""

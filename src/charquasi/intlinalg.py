@@ -32,8 +32,10 @@ import operator
 from functools import lru_cache, reduce
 from typing import Iterable, NamedTuple, Sequence
 
-from .arrangements import DeformSpec, IntMatrix, _Value
-from .errors import IndexOutOfRange, InvalidParity, TooManyColumns
+from .arrangements import IntMatrix, _Value
+# Bound here as well because bench/tracing.py looks known_period up in this module.
+from .arrangements import known_period
+from .errors import IndexOutOfRange, TooManyColumns
 
 # Widest matrix lcm_period (without a cap) and snf_count accept.
 FULL_ENUMERATION_LIMIT = 24
@@ -216,20 +218,3 @@ def lcm_period(mat: IntMatrix, max_subset_size: int | None = None) -> PeriodResu
             raise ValueError("max_subset_size must be >= 1")
     table = _lattice_table(mat, min(cap, n))
     return PeriodResult(math.lcm(*(divs[-1] for _, divs in table if divs)), cap >= n)
-
-
-def known_period(spec: DeformSpec, family: str) -> int:
-    """Minimum period of a deformation family, by formula.
-
-    Adeform: s_1 for t >= 1, else 1.  Ddeform: lcm(s_1, 2) for t >= 1,
-    else 2; requires the parity split r to be declared.
-    """
-    if family == "Adeform":
-        return spec.s[0] if spec.t else 1
-    if family == "Ddeform":
-        if spec.r is None:
-            raise InvalidParity(
-                "type-D deformation needs the even-prefix length r"
-            )
-        return math.lcm(spec.s[0], 2) if spec.t else 2
-    raise ValueError(f"unknown deformation family {family!r}")

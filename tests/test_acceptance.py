@@ -34,6 +34,7 @@ from charquasi import (
 from charquasi.closedforms import _even_constituent_d
 
 from conftest import lemma_union_a_instance, lemma_union_d_instance, random_matrix
+from test_closedforms import overcount_even_constituent_d
 from test_intlinalg import _minor_gcd
 
 SEED = 20260815
@@ -195,7 +196,7 @@ def test_criterion_4_erratum_adjudication():
     assert oracle == 12
     d = [math.gcd(2, v) for v in spec.s]
     implemented = _even_constituent_d(2, 1, 2, d)
-    statement_variant = _even_constituent_d(2, 1, 2, d, overcount_prefix=True)
+    statement_variant = overcount_even_constituent_d(2, 1, 2, d)
     assert chi_deform_d(spec, 2) == implemented
     assert implemented(6) == oracle
     assert statement_variant(6) == 20

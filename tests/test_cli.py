@@ -64,6 +64,26 @@ class TestGen:
         assert exc.value.code == 2
 
 
+@pytest.mark.parametrize(
+    "family, message",
+    [
+        ("Adeform", "A_1 with t = 0 has no hyperplanes"),
+        ("Ddeform", "type-D deformation needs m >= 2"),
+    ],
+)
+def test_empty_deformation_fails_alike_on_every_command(capsys, family, message):
+    spec = ("--family", family, "--m", "1")
+    commands = [
+        ("gen", *spec),
+        ("quasi", *spec, "--method", "closed-form"),
+        ("quasi", *spec, "--method", "interpolate"),
+        ("verify", *spec),
+    ]
+    err = f"error: empty arrangement: {message}\n"
+    for argv in commands:
+        assert run_cli(capsys, *argv) == (2, "", err), argv
+
+
 @pytest.fixture
 def b2_file(tmp_path, capsys):
     path = tmp_path / "b2.txt"
@@ -336,8 +356,10 @@ print(json.dumps(runs))
 """
 
 
-# Modules each stage loads beyond those of a bare interpreter, one line per
-# stage; json is not imported here because it is one of the modules checked.
+# Modules loaded beyond those of a bare interpreter after the import and
+# after each stage named on the command line, run in that order, one line
+# per stage; json is not imported here because it is one of the modules
+# checked.
 _LAYER_PROBE = """
 import io, sys
 from contextlib import redirect_stdout
@@ -346,14 +368,35 @@ def stage(name):
     print(name, *sorted(set(sys.modules) - bare), file=sys.stderr)
 import charquasi.cli
 stage("import")
+path = sys.argv[1]
+ddeform = ["--family", "Ddeform", "--m", "3", "--s", "6,3,1", "--r", "1"]
+argvs = {
+    "gen": ["gen", *ddeform],
+    "closed-form": ["quasi", *ddeform, "--method", "closed-form"],
+    "period": ["period", path],
+    "snf": ["count", path, "--q", "5", "--method", "snf"],
+    "interpolate": ["quasi", path, "--method", "interpolate"],
+}
 with redirect_stdout(io.StringIO()):
-    charquasi.cli.main(["period", sys.argv[1]])
-    stage("period")
-    charquasi.cli.main(["count", sys.argv[1], "--q", "5", "--method", "snf"])
-    stage("snf")
-    charquasi.cli.main(["quasi", sys.argv[1], "--method", "interpolate"])
-    stage("interpolate")
+    for name in sys.argv[2:]:
+        assert charquasi.cli.main(argvs[name]) == 0
+        stage(name)
 """
+
+
+def _layer_probe(b2_file: str, *stages: str) -> dict[str, set[str]]:
+    """Modules loaded after the import and after each stage, in one interpreter."""
+    proc = subprocess.run(
+        [sys.executable, "-c", _LAYER_PROBE, b2_file, *stages],
+        capture_output=True,
+        text=True,
+        env=child_env(),
+    )
+    assert proc.returncode == 0, proc.stderr
+    return {
+        stage: set(names)
+        for stage, *names in map(str.split, proc.stderr.splitlines())
+    }
 
 
 def _verify_json_b3(qmax: int) -> str:
@@ -393,17 +436,7 @@ class TestStartUp:
         assert re.sub(r'"ms": \d+', '"ms": 0', verify) == _verify_json_b3(7)
 
     def test_each_command_loads_only_its_layers(self, b2_file):
-        proc = subprocess.run(
-            [sys.executable, "-c", _LAYER_PROBE, b2_file],
-            capture_output=True,
-            text=True,
-            env=child_env(),
-        )
-        assert proc.returncode == 0, proc.stderr
-        loaded = {
-            stage: set(names)
-            for stage, *names in map(str.split, proc.stderr.splitlines())
-        }
+        loaded = _layer_probe(b2_file, "period", "snf", "interpolate")
         assert {"charquasi.cli", "charquasi.arrangements"} <= loaded["import"]
         layers = {"charquasi.intlinalg", "charquasi.counting", "charquasi.closedforms"}
         unused = {"dataclasses", "inspect", "fractions", "json"}
@@ -414,6 +447,15 @@ class TestStartUp:
         assert "charquasi.closedforms" not in loaded["snf"]
         # Interpolation divides in integers; fractions is never loaded.
         assert "fractions" not in loaded["interpolate"]
+
+    def test_family_commands_load_only_their_layers(self, b2_file):
+        loaded = _layer_probe(b2_file, "gen", "closed-form")
+        package = {name for name in loaded["gen"] if name.startswith("charquasi")}
+        assert package <= {
+            "charquasi", "charquasi.cli", "charquasi.arrangements", "charquasi.errors"
+        }
+        assert "charquasi.closedforms" in loaded["closed-form"]
+        assert "charquasi.intlinalg" not in loaded["closed-form"]
 
 
 def _per_k_quasi_text(family: str, spec: DeformSpec) -> str:

@@ -1,7 +1,9 @@
 """Closed-form constituents against the literal counts and each other.
 
 The reflection families have no formulas of their own in the package; the
-classical root products below are their oracle here.
+classical root products below are their oracle here.  Two more oracles
+live only in this file: the specialised t = m formulas of D_m(s), and the
+rejected even-residue variant whose correction sum overcounts.
 """
 
 import math
@@ -14,22 +16,76 @@ from charquasi import (
     InvalidParity,
     InvalidResidue,
     Polynomial,
-    SpecMismatch,
     brute_force_count,
     check_gcd_property,
     chi_coxeter,
+    chi_deform,
     chi_deform_a,
     chi_deform_d,
-    chi_deform_d_tm,
     coxeter_spec,
     deform_quasi,
     gen_coxeter,
+    gen_deform,
     gen_deform_a,
     gen_deform_d,
+    known_period,
     lcm_period,
     verify_minimum_period,
 )
 from charquasi.closedforms import _even_constituent_d
+
+
+def overcount_even_constituent_d(m: int, r: int, t: int, d) -> Polynomial:
+    """The rejected even-residue constituent of D_m(s).
+
+    It is the package's prefix * (P1 + P2) form except that the correction
+    sum's first inner product starts at j = 1 instead of j = r + 1, which
+    multiplies the even-prefix factors in a second time.
+    """
+    prefix = Polynomial.from_roots(d[i] + 2 * i for i in range(r))
+    p1 = Polynomial.from_roots(d[i] + 2 * i + 1 for i in range(r, t))
+    p1 *= (
+        Polynomial.from_roots(2 * i + 2 for i in range(t, m))
+        + 2 * (m - t) * Polynomial.from_roots(2 * i + 2 for i in range(t, m - 1))
+        + (m - t) * (m - t - 1)
+        * Polynomial.from_roots(2 * i + 2 for i in range(t, m - 2))
+    )
+    correction = Polynomial(())
+    for i in range(r, t):
+        left = Polynomial.from_roots(d[j] + 2 * j + 1 for j in range(i))
+        right = Polynomial.from_roots(d[j] + 2 * j - 1 for j in range(i + 1, t))
+        correction += left * right
+    p2 = correction * (
+        Polynomial.from_roots(2 * i for i in range(t, m))
+        + (m - t) * Polynomial.from_roots(2 * i for i in range(t, m - 1))
+    )
+    return prefix * (p1 + p2)
+
+
+def chi_deform_d_tm(spec: DeformSpec, k: int) -> Polynomial:
+    """Constituent of D_m(s) in the fully deformed case t = m.
+
+    The specialised formulas, with no (m - t) terms: odd classes give
+    prod_{i=1}^{m} (q - d_i - 2i + 2); even classes give
+
+        prod_{i=1}^{r} (q - d_i - 2i + 2)
+        * (prod_{i=r+1}^{m} (q - d_i - 2i + 1)
+           + sum_{i=r+1}^{m} prod_{j=r+1}^{i-1} (q - d_j - 2j + 1)
+                             prod_{j=i+1}^{m} (q - d_j - 2j + 3)).
+    """
+    assert spec.t == spec.m, spec
+    m, r = spec.m, spec.r
+    kp = math.gcd(k, known_period(spec, "Ddeform"))
+    d = [math.gcd(kp, v) for v in spec.s]
+    if kp % 2:
+        return Polynomial.from_roots(d[i] + 2 * i for i in range(m))
+    prefix = Polynomial.from_roots(d[i] + 2 * i for i in range(r))
+    bracket = Polynomial.from_roots(d[i] + 2 * i + 1 for i in range(r, m))
+    for i in range(r, m):
+        left = Polynomial.from_roots(d[j] + 2 * j + 1 for j in range(r, i))
+        right = Polynomial.from_roots(d[j] + 2 * j - 1 for j in range(i + 1, m))
+        bracket += left * right
+    return prefix * bracket
 
 
 class TestChiCoxeter:
@@ -282,7 +338,7 @@ class TestErratum:
         mat = gen_deform_d(spec)
         d = [math.gcd(2, v) for v in spec.s]
         right = _even_constituent_d(2, 1, 2, d)
-        wrong = _even_constituent_d(2, 1, 2, d, overcount_prefix=True)
+        wrong = overcount_even_constituent_d(2, 1, 2, d)
         assert brute_force_count(mat, 6) == 12
         assert right(6) == 12
         assert wrong(6) == 20
@@ -290,8 +346,8 @@ class TestErratum:
 
     def test_variants_differ_as_polynomials(self):
         d = [math.gcd(2, v) for v in (2, 1)]
-        assert _even_constituent_d(2, 1, 2, d) != _even_constituent_d(
-            2, 1, 2, d, overcount_prefix=True
+        assert _even_constituent_d(2, 1, 2, d) != overcount_even_constituent_d(
+            2, 1, 2, d
         )
 
 
@@ -311,13 +367,41 @@ class TestChiDeformDTm:
         for k in range(1, rho + 1):
             assert chi_deform_d_tm(spec, k) == chi_deform_d(spec, k), (spec, k)
 
-    def test_rejects_partial_deformation(self):
-        with pytest.raises(SpecMismatch):
-            chi_deform_d_tm(DeformSpec(3, (2, 1), 1), 1)
-
     def test_needs_r(self):
         with pytest.raises(InvalidParity):
             chi_deform_d_tm(DeformSpec(2, (2, 1)), 1)
+
+
+# Specs that are not arrangements of the family, and the error each names.
+NOT_ARRANGEMENTS = [
+    ("Ddeform", DeformSpec(1, (), 0), EmptyArrangement),
+    ("Ddeform", DeformSpec(1, (3,), 0), EmptyArrangement),
+    ("Adeform", DeformSpec(1), EmptyArrangement),
+    ("Ddeform", DeformSpec(2, (2, 1)), InvalidParity),
+    ("Bdeform", DeformSpec(2, (2,)), ValueError),
+]
+
+
+@pytest.mark.parametrize("family, spec, error", NOT_ARRANGEMENTS)
+def test_every_route_refuses_a_non_arrangement_alike(family, spec, error):
+    by_family = {
+        "Adeform": (gen_deform_a, lambda spec: chi_deform_a(spec, 1)),
+        "Ddeform": (gen_deform_d, lambda spec: chi_deform_d(spec, 1)),
+    }
+    routes = [
+        lambda spec: known_period(spec, family),
+        lambda spec: gen_deform(family, spec),
+        lambda spec: chi_deform(family, spec, 1),
+        lambda spec: deform_quasi(family, spec),
+        *by_family.get(family, ()),
+    ]
+    messages = set()
+    for route in routes:
+        with pytest.raises(error) as exc:
+            route(spec)
+        assert type(exc.value) is error
+        messages.add(str(exc.value))
+    assert len(messages) == 1, messages
 
 
 class TestStructuralInvariants:

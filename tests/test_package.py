@@ -1,11 +1,14 @@
 """Package surface: the lazy public namespace and the immutable value types."""
 
+import ast
 import copy
+import importlib
 import itertools
 import json
 import pickle
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -50,7 +53,7 @@ class TestLazyNamespace:
     @pytest.mark.parametrize("name", charquasi.__all__)
     def test_name_is_the_defining_module_object(self, name):
         value = getattr(charquasi, name)
-        # Constants carry no __module__; the only one lives in arrangements.
+        # Constants carry no __module__; they all live in arrangements.
         home = getattr(value, "__module__", "charquasi.arrangements")
         assert home.startswith("charquasi.")
         assert getattr(sys.modules[home], name) is value
@@ -68,6 +71,26 @@ class TestLazyNamespace:
         exec("from charquasi import *", namespace)
         del namespace["__builtins__"]
         assert set(namespace) == set(charquasi.__all__)
+
+
+def _traced_names() -> dict[str, tuple[str, ...]]:
+    """The TRACED table of bench/tracing.py, read from its source."""
+    tree = ast.parse((Path(__file__).parents[1] / "bench" / "tracing.py").read_text())
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and [t.id for t in node.targets] == ["TRACED"]:
+            return ast.literal_eval(node.value)
+    raise AssertionError("bench/tracing.py has no TRACED table")
+
+
+def test_benchmark_traced_names_resolve():
+    # The tracer looks each name up on the module it lists; moving a
+    # function without keeping it bound there breaks bench/run.py --trace 1.
+    traced = _traced_names()
+    assert traced
+    for module, names in traced.items():
+        layer = importlib.import_module(f"charquasi.{module}")
+        for name in names:
+            assert callable(getattr(layer, name, None)), f"{module}.{name}"
 
 
 _P1 = Polynomial((3, -4, 1))
