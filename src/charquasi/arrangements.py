@@ -201,17 +201,12 @@ def _deform_matrix(spec: DeformSpec, with_plus: bool) -> IntMatrix:
 def coxeter_spec(family: str, m: int) -> tuple[str, DeformSpec]:
     """The reflection arrangement of a family as (deformation family, spec).
 
-    Raises EmptyArrangement for A_1 and D_1, which have no hyperplanes.
+    Only the family name is checked here.  DeformSpec refuses m < 1, and
+    known_period refuses A_1 and D_1, which have no hyperplanes, when the
+    pair is generated or evaluated.
     """
     if family not in COXETER_FAMILIES:
         raise ValueError(f"unknown family {family!r}, expected one of A B C D")
-    m = operator.index(m)
-    if m < 1:
-        raise ValueError("dimension m must be >= 1")
-    if m == 1 and family in "AD":
-        raise EmptyArrangement(
-            f"empty arrangement: {family}_{m} has no hyperplanes"
-        )
     if family == "A":
         return "Adeform", DeformSpec(m)
     if family == "D":
@@ -230,22 +225,21 @@ def known_period(spec: DeformSpec, family: str) -> int:
     else 2.  This is the one check that (family, spec) names an
     arrangement, and every generator and formula of a family runs it:
     ValueError for an unknown family, InvalidParity for a type-D spec
-    without the parity split r, EmptyArrangement for type D with m < 2
-    (its e_i +- e_j part is empty) and for A_1 with t = 0.
+    without the parity split r, EmptyArrangement for A_1 and D_1 (m = 1,
+    t = 0: no hyperplanes), and ValueError for type D with m = 1 and t >= 1,
+    whose e_i +- e_j part is empty although its diagonal part is not.
     """
+    if family not in DEFORM_FAMILIES:
+        raise ValueError(f"unknown deformation family {family!r}")
+    if family == "Ddeform" and spec.r is None:
+        raise InvalidParity("type-D deformation needs the even-prefix length r")
+    if spec.m == 1 and not spec.t:
+        raise EmptyArrangement(f"empty arrangement: {family[0]}_1 has no hyperplanes")
     if family == "Adeform":
-        if spec.m == 1 and not spec.t:
-            raise EmptyArrangement(
-                "empty arrangement: A_1 with t = 0 has no hyperplanes"
-            )
         return spec.s[0] if spec.t else 1
-    if family == "Ddeform":
-        if spec.r is None:
-            raise InvalidParity("type-D deformation needs the even-prefix length r")
-        if spec.m < 2:
-            raise EmptyArrangement("empty arrangement: type-D deformation needs m >= 2")
-        return math.lcm(spec.s[0], 2) if spec.t else 2
-    raise ValueError(f"unknown deformation family {family!r}")
+    if spec.m < 2:
+        raise ValueError("type-D deformation needs m >= 2")
+    return math.lcm(spec.s[0], 2) if spec.t else 2
 
 
 def gen_coxeter(family: str, m: int) -> IntMatrix:

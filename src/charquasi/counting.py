@@ -11,7 +11,8 @@ the two generic counters plus exact interpolation:
     Python integers.  The points of the last coordinates are the bits of
     one int, and per column a table of masks (the block points of each
     partial residue) decides them all against one prefix point with an OR
-    and a popcount, in memory bounded whatever q^m is.
+    and a popcount.  No mask spans more than 2^20 points, so memory is
+    bounded whatever q^m is, and the point budget is its only limit.
   * snf_count: inclusion-exclusion over column subsets J,
         |M_S(q)| = sum_J (-1)^|J| q^(m - l(J)) prod_i gcd(e_{J,i}, q),
     where e_{J,i} are the elementary divisors of the column submatrix and
@@ -40,11 +41,6 @@ from .errors import BudgetExceeded, NotIntegral, NotMonic, TooManyColumns
 
 DEFAULT_POINT_BUDGET = 10**8
 _TABLE_BITS = 1 << 20
-_CHUNK = 1 << 16
-# No mask grows with q (one-coordinate blocks are sliced), so this is a
-# policy: q >= 2^31 is at least 2^31 points, 21 times the default budget
-# even for m = 1, and snf_count counts such moduli exactly.
-_MAX_MODULUS = 1 << 31
 
 
 class Polynomial(_Value):
@@ -206,38 +202,36 @@ def brute_force_count(mat: IntMatrix, q: int, budget: int = DEFAULT_POINT_BUDGET
     leaves the block size minus the popcount of their union; every point is
     still decided one by one.
 
-    Memory is bounded whatever q^m is.  For k >= 2 (m >= 3 and q <= 724),
-    a column's table of q masks holds at most _TABLE_BITS = 2^20 bits, and
-    the tables of its lower coordinates at most as much again: 256 KiB per
-    column at most, shared by columns with equal or negated block entries.
-    A one-coordinate block (k = 1) builds no table: its masks are
-    progressions made per prefix point, in slices of at most _CHUNK = 2^16
-    bits.
+    Memory is bounded whatever q^m is, by the one width _TABLE_BITS =
+    2^20.  For k >= 2 (m >= 3 and q <= 724), a column's table of q masks
+    holds at most 2^20 bits, and the tables of its lower coordinates at
+    most as much again: 256 KiB per column at most, shared by columns with
+    equal or negated block entries.  A one-coordinate block (k = 1) builds
+    no table: it is cut into slices of at most 2^20 points, and its masks
+    are progressions made per prefix point and slice.  Each slice is worked
+    out when it is reached; none is stored.
 
-    Raises BudgetExceeded when q^m exceeds the point budget, and for any
-    q >= 2^31 whatever the budget.  q = 1 always gives 0: every product is
-    0 mod 1 and the matrix has at least one column.
+    Raises BudgetExceeded when q^m exceeds the point budget, its only
+    limit.  q = 1 always gives 0: every product is 0 mod 1 and the matrix
+    has at least one column.
     """
     q = operator.index(q)
     if q < 1:
         raise ValueError("modulus q must be >= 1")
-    if q >= _MAX_MODULUS:
-        raise BudgetExceeded(
-            f"modulus {q} >= 2^31 is past brute-force enumeration; no budget "
-            "lifts it (snf_count has no modulus limit)"
-        )
     m, n = mat.rows, mat.cols
     if q**m > budget:
         raise BudgetExceeded(
             f"{q}^{m} = {q**m} points exceed the budget of {budget}; raise it with "
-            "the budget= argument of brute_force_count or interpolate_quasi"
+            "the budget= argument of brute_force_count or interpolate_quasi, or "
+            "count with snf_count (charquasi count --method snf), which has no "
+            "point budget"
         )
     if q == 1:
         return 0
     rows = [[v % q for v in row] for row in mat.entries]
     # k grows while a column table keeps at least two values of the top
     # block coordinate; top is how many it keeps.
-    k, top = 1, min(q, _CHUNK)
+    k, top = 1, min(q, _TABLE_BITS)
     while k < m - 1 and 2 * q ** (k + 1) <= _TABLE_BITS:
         k += 1
         top = min(q, _TABLE_BITS // q**k)
@@ -258,18 +252,20 @@ def brute_force_count(mat: IntMatrix, q: int, budget: int = DEFAULT_POINT_BUDGET
                 tables[col] = _column_table(col, q, top, tables)
             table = tables[col]
             looks.append([table[-p % q] for p in range(q)])
-    # Each further slice of the top coordinate adds top * s_top to every
-    # residue; the last slice may be short.
+    # The top coordinate runs in slices of top values, and only the last
+    # may be short (shapes[1]); each further slice adds top * s_top to every
+    # residue.
+    width = q ** (k - 1)
+    shapes = [(size, (1 << size) - 1) for size in (top * width, q % top * width)]
     step = [top * s % q for s in block[0]]
-    sizes = [min(top, q - lo) * q ** (k - 1) for lo in range(0, q, top)]
-    slices = [(size, (1 << size) - 1) for size in sizes]
     count = 0
     for res in _prefix_residues(rows[: m - k], q, n):
-        for i, (size, full) in enumerate(slices):
-            if i:
+        for lo in range(0, q, top):
+            if lo:
                 res = [(a + b) % q for a, b in zip(res, step)]
+            size, mask = shapes[q - lo < top]
             bad = reduce(operator.or_, map(operator.getitem, looks, res))
-            count += size - (bad & full).bit_count()
+            count += size - (bad & mask).bit_count()
     return count
 
 
@@ -298,7 +294,9 @@ class _Progression:
 
     s * t = c (mod q) holds exactly on the progression x0 + span * i,
     span = q / gcd(s, q), when gcd(s, q) divides c, so no q x q table is
-    needed.  Bits from size up may be set; the caller masks them off.
+    needed.  It keeps one size-bit comb, and each lookup makes one mask of
+    at most 2 * size bits, so its memory does not grow with q.  Bits from
+    size up may be set; the caller masks them off.
     """
 
     def __init__(self, s: int, q: int, size: int):

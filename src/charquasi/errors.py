@@ -39,7 +39,7 @@ class BudgetExceeded(CharQuasiError):
     """Point enumeration would exceed the configured budget.
 
     The budget= argument of brute_force_count and interpolate_quasi lifts
-    it; moduli q >= 2^31 are refused whatever the budget.
+    it; it is brute force's only limit.  snf_count has no point budget.
     """
 
 

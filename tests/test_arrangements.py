@@ -154,7 +154,7 @@ class TestGenDeform:
             gen_deform_d(DeformSpec(2, (2, 1)))
 
     def test_d_deform_needs_m2(self):
-        with pytest.raises(EmptyArrangement):
+        with pytest.raises(ValueError, match="needs m >= 2"):
             gen_deform_d(DeformSpec(1, (2,), 1))
 
     def test_d_deform_t0_equals_coxeter(self):

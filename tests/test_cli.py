@@ -64,24 +64,28 @@ class TestGen:
         assert exc.value.code == 2
 
 
-@pytest.mark.parametrize(
-    "family, message",
-    [
-        ("Adeform", "A_1 with t = 0 has no hyperplanes"),
-        ("Ddeform", "type-D deformation needs m >= 2"),
-    ],
-)
-def test_empty_deformation_fails_alike_on_every_command(capsys, family, message):
-    spec = ("--family", family, "--m", "1")
-    commands = [
-        ("gen", *spec),
-        ("quasi", *spec, "--method", "closed-form"),
-        ("quasi", *spec, "--method", "interpolate"),
-        ("verify", *spec),
-    ]
-    err = f"error: empty arrangement: {message}\n"
-    for argv in commands:
-        assert run_cli(capsys, *argv) == (2, "", err), argv
+@pytest.mark.parametrize("letter", ["A", "D"])
+def test_empty_deformation_fails_alike_on_every_command(capsys, letter):
+    # A_1 and D_1 have no hyperplanes, whether named as reflection families
+    # or as deformations with t = 0.  D_1 with t = 1 is one hyperplane,
+    # refused because type D needs m >= 2, not as an empty arrangement.
+    empty = f"empty arrangement: {letter}_1 has no hyperplanes"
+    refusals = {
+        ("--family", letter, "--m", "1"): empty,
+        ("--family", f"{letter}deform", "--m", "1"): empty,
+    }
+    if letter == "D":
+        spec = ("--family", "Ddeform", "--m", "1", "--s", "3")
+        refusals[spec] = "type-D deformation needs m >= 2"
+    for spec, message in refusals.items():
+        commands = [
+            ("gen", *spec),
+            ("quasi", *spec, "--method", "closed-form"),
+            ("quasi", *spec, "--method", "interpolate"),
+            ("verify", *spec),
+        ]
+        for argv in commands:
+            assert run_cli(capsys, *argv) == (2, "", f"error: {message}\n"), argv
 
 
 @pytest.fixture

@@ -172,8 +172,12 @@ class TestCoxeterAsDeformation:
 
     @pytest.mark.parametrize("family", ["A", "D"])
     def test_empty_messages(self, family):
+        # coxeter_spec only maps the name; known_period refuses A_1 and D_1,
+        # with the message their deformation spelling gets too.
+        deform, spec = coxeter_spec(family, 1)
+        assert spec == DeformSpec(1, (), 0 if family == "D" else None)
         with pytest.raises(EmptyArrangement) as exc:
-            coxeter_spec(family, 1)
+            known_period(spec, deform)
         assert str(exc.value) == f"empty arrangement: {family}_1 has no hyperplanes"
 
     @pytest.mark.parametrize("family", ["A", "B", "C", "D"])
@@ -294,7 +298,7 @@ class TestChiDeformD:
             chi_deform_d(DeformSpec(2, (2, 1)), 1)
 
     def test_needs_m2(self):
-        with pytest.raises(EmptyArrangement):
+        with pytest.raises(ValueError, match="needs m >= 2"):
             chi_deform_d(DeformSpec(1, (2,), 1), 1)
 
     @pytest.mark.parametrize(
@@ -375,7 +379,7 @@ class TestChiDeformDTm:
 # Specs that are not arrangements of the family, and the error each names.
 NOT_ARRANGEMENTS = [
     ("Ddeform", DeformSpec(1, (), 0), EmptyArrangement),
-    ("Ddeform", DeformSpec(1, (3,), 0), EmptyArrangement),
+    ("Ddeform", DeformSpec(1, (3,), 0), ValueError),
     ("Adeform", DeformSpec(1), EmptyArrangement),
     ("Ddeform", DeformSpec(2, (2, 1)), InvalidParity),
     ("Bdeform", DeformSpec(2, (2,)), ValueError),

@@ -9,6 +9,7 @@ interpolation over the rationals.
 """
 
 import math
+import tracemalloc
 from fractions import Fraction
 from itertools import product
 
@@ -37,7 +38,7 @@ from charquasi import (
     verify_minimum_period,
 )
 from charquasi import counting
-from charquasi.counting import _CHUNK, _TABLE_BITS, _newton_integer_poly
+from charquasi.counting import _TABLE_BITS, _newton_integer_poly
 from charquasi.intlinalg import _lattice_table
 
 from conftest import EDGE_MATRICES, int_matrices
@@ -90,17 +91,16 @@ def _mixed_matrix(m: int) -> IntMatrix:
 
 @st.composite
 def _block_split_cases(draw):
-    """(table_bits, chunk, matrix, q) with the block layout changing at small q.
+    """(table_bits, matrix, q) with the block layout changing at small q.
 
-    Shrunken _TABLE_BITS and _CHUNK move every change of layout (how many
-    block coordinates, whether the top one or a lone coordinate is cut into
+    A shrunken _TABLE_BITS moves every change of layout (how many block
+    coordinates, whether the top one or a lone coordinate is cut into
     slices, a short last slice) down to moduli the plain loop can
-    enumerate.  Columns may be repeated, negated, or multiplied by q so
-    that every point is ruled out.
+    enumerate: 3, 4, 5 and 7 cut a lone coordinate, 2^7 and 2^9 give
+    blocks of two to four coordinates.  Columns may be repeated, negated,
+    or multiplied by q so that every point is ruled out.
     """
-    table_bits, chunk = draw(
-        st.sampled_from([(2**7, 3), (2**9, 4), (2**9, 7), (_TABLE_BITS, _CHUNK)])
-    )
+    table_bits = draw(st.sampled_from([3, 4, 5, 7, 2**7, 2**9, _TABLE_BITS]))
     m = draw(st.integers(1, 5))
     q = draw(st.integers(2, (40, 40, 17, 9, 6)[m - 1]))
     column = st.lists(st.integers(-5, 5), min_size=m, max_size=m).filter(any)
@@ -110,7 +110,7 @@ def _block_split_cases(draw):
         cols.append([sign * v for v in draw(st.sampled_from(cols))])
     if draw(st.integers(0, 3)) == 0:
         cols.append([q * v for v in draw(st.sampled_from(cols))])
-    return table_bits, chunk, IntMatrix.from_columns(cols), q
+    return table_bits, IntMatrix.from_columns(cols), q
 
 
 def _every_divisor_minimum(qp: QuasiPolynomial) -> bool:
@@ -261,28 +261,46 @@ class TestBruteForce:
         assume(q <= 9 or mat.rows <= 2)
         assert brute_force_count(mat, q) == _plain_count(mat, q)
 
-    @pytest.mark.parametrize("q", [65535, 65536, 65537, 3 * _CHUNK + 5])
+    @pytest.mark.parametrize("q", [65535, 65536, 65537, 3 * 2**16 + 5])
     def test_one_coordinate_matches_closed_form(self, q):
-        # x * s = 0 mod q for exactly gcd(s, q) residues x.  Up to
-        # q = _CHUNK = 65536 the coordinate is one mask; 65537 and
-        # 3 * _CHUNK + 5 are enumerated in slices, the last one short.
-        for s in (1, 2, 6, 255, 256, q - 1, q, 2 * q, 2**64 + 6):
-            assert brute_force_count(IntMatrix(((s,),)), q) == q - math.gcd(s, q)
+        # x * s = 0 mod q for exactly gcd(s, q) residues x.  With
+        # _TABLE_BITS = 2^16 the coordinate is one mask up to q = 65536;
+        # 65537 and 3 * 2^16 + 5 are enumerated in slices, the last one short.
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(counting, "_TABLE_BITS", 2**16)
+            for s in (1, 2, 6, 255, 256, q - 1, q, 2 * q, 2**64 + 6):
+                assert brute_force_count(IntMatrix(((s,),)), q) == q - math.gcd(s, q)
 
-    def test_refuses_modulus_from_2_31_at_any_budget(self):
+    def test_point_budget_is_the_only_limit_on_q(self):
         mat = IntMatrix(((1,),))
-        for q in (2**31, 2**31 + 1, 2**64):
-            with pytest.raises(BudgetExceeded, match="no budget lifts it"):
-                brute_force_count(mat, q, budget=10**30)
         with pytest.raises(BudgetExceeded, match="budget="):
-            brute_force_count(mat, 2**31 - 1, budget=10)
+            brute_force_count(mat, 2**31)
+        # 2^31 + 11 is prime, so gcd(s, q) is 1 or q.
+        q = 2**31 + 11
+        for s in (1, 2**64 + 6, q):
+            want = q - math.gcd(s, q)
+            assert brute_force_count(IntMatrix(((s,),)), q, budget=q) == want
+
+    def test_one_coordinate_memory_does_not_grow_with_q(self):
+        # 10^8 points are 96 slices of at most 2^20 bits.  Only the current
+        # slice's masks (128 KiB per column) are live, so the peak must not
+        # grow with the number of slices.
+        mat = IntMatrix(((1, 2, 3),))
+        tracemalloc.start()
+        try:
+            count = brute_force_count(mat, 10**8)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert count == 10**8 - 2  # x = 0 and x = q / 2 are ruled out
+        assert peak < 2 * 2**20, peak
 
     def test_budget_message_names_the_setting(self):
         with pytest.raises(BudgetExceeded) as exc:
             brute_force_count(gen_coxeter("B", 2), 7, budget=48)
         text = str(exc.value)
         assert "7^2 = 49 points" in text
-        for name in ("budget=", "brute_force_count", "interpolate_quasi"):
+        for name in ("budget=", "brute_force_count", "interpolate_quasi", "--method snf"):
             assert name in text
 
     @pytest.mark.parametrize(
@@ -301,16 +319,15 @@ class TestBruteForce:
     @given(_block_split_cases())
     @settings(max_examples=150, deadline=None)
     def test_block_splits_match_plain_loop(self, case):
-        table_bits, chunk, mat, q = case
+        table_bits, mat, q = case
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(counting, "_TABLE_BITS", table_bits)
-            mp.setattr(counting, "_CHUNK", chunk)
             assert brute_force_count(mat, q) == _plain_count(mat, q)
 
     @pytest.mark.parametrize(
-        "table_bits, chunk, m, q",
+        "wide, narrow, m, q",
         [
-            # One coordinate: one mask at q <= chunk, then slices.
+            # One coordinate: one mask at q <= narrow, then slices.
             (2**9, 4, 1, 4), (2**9, 4, 1, 5), (2**9, 4, 1, 9),
             (2**7, 3, 2, 3), (2**7, 3, 2, 4),
             # The last q with a table per column, then one coordinate.
@@ -323,14 +340,18 @@ class TestBruteForce:
             (2**7, 3, 5, 2), (2**7, 3, 5, 3), (2**9, 4, 5, 4), (2**9, 4, 5, 5),
         ],
     )
-    def test_layout_boundaries_match_plain_loop(self, table_bits, chunk, m, q):
+    def test_layout_boundaries_match_plain_loop(self, wide, narrow, m, q):
+        # Each case runs under two values of _TABLE_BITS: the wide one sets
+        # how many block coordinates there are, the narrow one (below 8, so
+        # always one coordinate) cuts that coordinate into slices.
         mat = _mixed_matrix(m)
         zeroed = IntMatrix.from_columns([*mat.columns(), (q,) * m])
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(counting, "_TABLE_BITS", table_bits)
-            mp.setattr(counting, "_CHUNK", chunk)
-            assert brute_force_count(mat, q) == _plain_count(mat, q)
-            assert brute_force_count(zeroed, q) == 0
+        want = _plain_count(mat, q)
+        for table_bits in (wide, narrow):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(counting, "_TABLE_BITS", table_bits)
+                assert brute_force_count(mat, q) == want, table_bits
+                assert brute_force_count(zeroed, q) == 0, table_bits
 
     @pytest.mark.parametrize("m, q", [(3, 101), (3, 102), (4, 80), (4, 81), (5, 26), (5, 27)])
     def test_real_layout_boundaries_match_snf(self, m, q):
