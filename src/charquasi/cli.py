@@ -210,7 +210,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--max-subset-size",
         type=int,
         default=None,
-        help="cap subset enumeration; result becomes a lower bound",
+        help="cap subset size; below the rank of the matrix the result is a lower bound",
     )
     p_period.set_defaults(func=cmd_period)
 

@@ -353,8 +353,8 @@ def _column_table(
 def snf_count(mat: IntMatrix, q: int) -> int:
     """|M_S(q)| by inclusion-exclusion over the elementary divisor data.
 
-    Sums one term per distinct column lattice (built once per matrix and
-    cached, shared with lcm_period).  Matrices wider than
+    Sums one term per distinct column lattice with a nonzero signed count
+    (built once per matrix and cached).  Matrices wider than
     FULL_ENUMERATION_LIMIT are refused; the limit is a policy, the cost
     grows with the lattice count.  Agreement with brute_force_count for all
     q is the core cross-check of the package.
@@ -373,7 +373,7 @@ def snf_count(mat: IntMatrix, q: int) -> int:
         )
     m = mat.rows
     total = 0
-    for count, divs in _lattice_table(mat, mat.cols):
+    for count, divs in _lattice_table(mat):
         term = count * q ** (m - len(divs))
         for e in divs:
             term *= math.gcd(e, q)

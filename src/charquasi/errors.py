@@ -30,8 +30,10 @@ class TooManyColumns(CharQuasiError):
     """A matrix is wider than the column limit of a generic route.
 
     lcm_period (without a cap) and snf_count refuse more than
-    FULL_ENUMERATION_LIMIT columns by policy; their cost grows with the
-    number of distinct column lattices, not with 2^n.
+    FULL_ENUMERATION_LIMIT columns by policy, not by cost.  The period's
+    cost is its frontier, the distinct lattices of independent column
+    sets; snf_count's is its table, the distinct column lattices with a
+    nonzero signed count.  Neither grows with 2^n.
     """
 
 

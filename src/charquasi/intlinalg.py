@@ -14,15 +14,32 @@ The lcm period of a normal matrix S is
 
     rho_S = lcm over all nonempty column subsets J of e_{J, l(J)},
 
-the last elementary divisor of each column submatrix.  The divisors of S_J
-depend only on the lattice L_J spanned by the columns in J, so the subsets
-are grouped by lattice: _lattice_table adds one column at a time and keeps,
+the last elementary divisor of each column submatrix: the exponent of
+F_J/L_J, where L_J is the lattice the columns in J span and F_J its
+saturation (its rational span meet Z^m).  Only bases matter:
+
+- a dependent J has the same saturation F as a maximal independent
+  B in J, and L_B lies in L_J, so F/L_J is a quotient of F/L_B;
+- for independent B in B', F_B/L_B -> F_B'/L_B' is injective, since a
+  point of F_B with integer coordinates over B' has none outside B.
+
+So rho_S is the lcm over the independent sets of size rank S, and under a
+cap c < rank S the lcm over subsets of size <= c is the lcm over the
+independent sets of size c.  lcm_period grows a frontier of the lattices
+of independent sets, adding a column only when it raises the rank, and
+takes divisors only at the top rank.  There it first computes, without
+building the Hermite form, a gcd of maximal minors of the new lattice's
+generators (_minors_gcd).  The last divisor divides it, so when it divides
+the lcm so far the lattice is skipped.
+
+The inclusion-exclusion count of counting.snf_count sums over all subsets,
+grouped by lattice: _lattice_table adds one column at a time and keeps,
 per canonical row Hermite normal form of L_J, the signed count
-sum (-1)^|J| and the smallest |J|.  Its size is the number of distinct
-lattices, not 2^n, and every generic route (this period and the
-inclusion-exclusion count in counting.snf_count) reads the same cached
-table.  Refusing more than FULL_ENUMERATION_LIMIT columns is a policy kept
-for callers, not a bound on this cost.
+sum (-1)^|J|.  An entry whose count is 0 adds nothing to the entries it
+would extend, so it is not extended, and the table drops it before its
+divisors are taken.  Its size is the number of lattices with a nonzero
+count, not 2^n.  Refusing more than FULL_ENUMERATION_LIMIT columns is a
+policy kept for callers, not a bound on either cost.
 """
 
 from __future__ import annotations
@@ -61,7 +78,7 @@ class ElementaryDivisors(_Value):
 
 
 class PeriodResult(NamedTuple):
-    """lcm-period value; exact=False marks a capped run (lower bound only)."""
+    """lcm-period value; exact=False marks a run capped below the rank (lower bound only)."""
 
     value: int
     exact: bool
@@ -172,27 +189,44 @@ def _basis_divisors(basis: tuple[tuple[int, ...], ...]) -> tuple[int, ...]:
 
 
 @lru_cache(maxsize=16)
-def _lattice_table(mat: IntMatrix, cap: int) -> tuple[tuple[int, tuple[int, ...]], ...]:
-    """(signed count, elementary divisors) of every lattice L_J.
+def _lattice_table(mat: IntMatrix) -> tuple[tuple[int, tuple[int, ...]], ...]:
+    """(signed count, elementary divisors) of every lattice L_J with a nonzero count.
 
-    Covers the column subsets J with |J| <= cap, the empty one included
-    (count 1, no divisors).  While it is built each lattice also keeps its
-    smallest |J|, and one whose smallest |J| has reached cap is not
-    extended, so the table holds exactly the lattices with smallest
-    |J| <= cap.  The signed counts sum (-1)^|J| over all J of a lattice
-    only when cap = n.  Lattices whose count cancels to 0 stay, because
-    the lcm period ranges over every subset.
+    The signed count of a lattice sums (-1)^|J| over the column subsets J
+    that span it, the empty one included (count 1, no divisors).  A
+    lattice whose count is 0 when a column is added passes nothing on to
+    its extension, so it is skipped; this leaves every count exact.
     """
-    table = {_span(mat.rows, ()): (1, 0)}
+    table = {_span(mat.rows, ()): 1}
     for col in mat.columns():
         grown = dict(table)
-        for basis, (count, size) in table.items():
-            if size < cap:
+        for basis, count in table.items():
+            if count:
                 key = _hnf_add(basis, col)
-                prev, least = grown.get(key, (0, size + 1))
-                grown[key] = (prev - count, min(least, size + 1))
+                grown[key] = grown.get(key, 0) - count
         table = grown
-    return tuple((count, _basis_divisors(basis)) for basis, (count, _) in table.items())
+    return tuple((count, _basis_divisors(basis)) for basis, count in table.items() if count)
+
+
+def _rank(basis: tuple[tuple[int, ...], ...]) -> int:
+    return sum(1 for p, r in enumerate(basis) if r[p])
+
+
+def _minors_gcd(basis: tuple[tuple[int, ...], ...], vec: Sequence[int]) -> int:
+    """A multiple of the last divisor of basis plus vec if vec raises the rank, else 0.
+
+    vec is reduced against every pivot row p without division,
+    v -> r[p] * v - v[p] * r, which scales the determinant of (the pivot
+    rows, v) by r[p] and leaves v zero at the pivots.  Entry q of the
+    result is then, up to sign, the minor of (the pivot rows, vec) at the
+    pivot columns and q: a maximal minor of a basis of the new lattice,
+    so a multiple of the product of its elementary divisors.
+    """
+    v = vec
+    for p, r in enumerate(basis):
+        if r[p]:
+            v = [r[p] * a - v[p] * b for a, b in zip(v, r)]
+    return math.gcd(*v)
 
 
 def lcm_period(mat: IntMatrix, max_subset_size: int | None = None) -> PeriodResult:
@@ -200,8 +234,14 @@ def lcm_period(mat: IntMatrix, max_subset_size: int | None = None) -> PeriodResu
 
     Without a cap this covers all nonempty subsets and is exact; it
     refuses matrices with more than FULL_ENUMERATION_LIMIT columns.  With
-    max_subset_size = c it covers the subsets of size <= c and the result
-    is only a lower bound (a divisor of the true period) unless c >= n.
+    max_subset_size = c it covers the subsets of size <= c; the result is
+    exact when c >= rank S and otherwise only a lower bound (a divisor of
+    the true period).
+
+    Only the lattices of independent column sets are built (see the module
+    docstring): a column extends a lattice when it raises the rank, up to
+    top = min(c, rank S), and the period is the lcm of the last divisor
+    over the lattices of rank top.
     """
     n = mat.cols
     if max_subset_size is None:
@@ -216,5 +256,24 @@ def lcm_period(mat: IntMatrix, max_subset_size: int | None = None) -> PeriodResu
         cap = operator.index(max_subset_size)
         if cap < 1:
             raise ValueError("max_subset_size must be >= 1")
-    table = _lattice_table(mat, min(cap, n))
-    return PeriodResult(math.lcm(*(divs[-1] for _, divs in table if divs)), cap >= n)
+    rank = _rank(_span(mat.rows, mat.columns()))
+    top = min(cap, rank)
+    # Lattices of independent sets below rank top, with their rank; those
+    # of rank top are never extended and only their last divisor is kept.
+    below = {_span(mat.rows, ()): 0}
+    tops = set()
+    rho = 1
+    for col in mat.columns():
+        for basis, r in list(below.items()):
+            if r + 1 < top:
+                key = _hnf_add(basis, col)
+                if _rank(key) > r:
+                    below[key] = r + 1
+            # A multiple of the last divisor that divides rho (or a column
+            # in the rational span, gcd 0) adds nothing: skip the lattice.
+            elif rho % (_minors_gcd(basis, col) or rho):
+                key = _hnf_add(basis, col)
+                if key not in tops:
+                    tops.add(key)
+                    rho = math.lcm(rho, _basis_divisors(key)[-1])
+    return PeriodResult(rho, cap >= rank)

@@ -114,6 +114,12 @@ class TestPeriod:
         )
         assert code == 0 and out == "rho = 1 lower-bound\n"
 
+    def test_cap_at_the_rank_is_exact(self, capsys, b2_file):
+        code, out, _ = run_cli(
+            capsys, "period", b2_file, "--max-subset-size", "2"
+        )
+        assert code == 0 and out == "rho = 2\n"
+
     def test_too_many_columns(self, capsys, tmp_path):
         path = tmp_path / "wide.txt"
         path.write_text("1 25\n" + " ".join(["1"] * 25) + "\n")

@@ -402,8 +402,8 @@ class TestSnfCount:
             assert snf_count(mat, q) == brute_force_count(mat, q)
 
     def test_one_lattice_table_per_matrix(self):
-        # The uncapped period, every modulus and an over-wide cap all read
-        # the same cached table, so it is built exactly once.
+        # Every modulus reads the same cached table, so it is built exactly
+        # once; the period calls around them build none.
         mat = gen_deform_d(DeformSpec(3, (6, 3), 1))
         _lattice_table.cache_clear()
         lcm_period(mat)

@@ -6,7 +6,9 @@ minors, computed here by literal Laplace expansion over all row and column
 subsets.  The oracle for lcm_period is unpruned enumeration of every
 nonempty column subset through the public API.  The lattice table is also
 compared entry for entry with _lattice_table_ref, built from a plain
-Hermite-form routine that reduces every row on every call.
+Hermite-form routine that reduces every row on every call, and the two
+engines are tied together by "lcm period = minimum period": the lcm of the
+last divisors over the table's nonzero-count lattices is the lcm period.
 """
 
 import math
@@ -95,17 +97,16 @@ def _basis_divisors_ref(basis):
     return tuple(_chain_fix(r[p] for p, r in enumerate(basis) if r[p]))
 
 
-def _lattice_table_ref(mat, cap):
-    table = {((0,) * mat.rows,) * mat.rows: (1, 0)}
+def _lattice_table_ref(mat):
+    table = {((0,) * mat.rows,) * mat.rows: 1}
     for col in mat.columns():
         grown = dict(table)
-        for basis, (count, size) in table.items():
-            if size < cap:
+        for basis, count in table.items():
+            if count:
                 key = _hnf_add_ref(basis, col)
-                prev, least = grown.get(key, (0, size + 1))
-                grown[key] = (prev - count, min(least, size + 1))
+                grown[key] = grown.get(key, 0) - count
         table = grown
-    return tuple((count, _basis_divisors_ref(basis)) for basis, (count, _) in table.items())
+    return tuple((count, _basis_divisors_ref(basis)) for basis, count in table.items() if count)
 
 
 @st.composite
@@ -128,20 +129,27 @@ def lattice_inputs(draw):
 class TestLatticeTableReference:
     @given(lattice_inputs())
     @settings(max_examples=150, deadline=None)
-    def test_matches_reference_at_every_cap(self, mat):
-        for cap in range(1, mat.cols + 1):
-            assert _lattice_table(mat, cap) == _lattice_table_ref(mat, cap), cap
+    def test_matches_reference(self, mat):
+        assert _lattice_table(mat) == _lattice_table_ref(mat)
 
     @pytest.mark.parametrize(
         "mat", [m for _, m in EDGE_MATRICES], ids=[i for i, _ in EDGE_MATRICES]
     )
     def test_edge_inputs_match_reference(self, mat):
-        for cap in range(1, mat.cols + 1):
-            assert _lattice_table(mat, cap) == _lattice_table_ref(mat, cap), cap
+        assert _lattice_table(mat) == _lattice_table_ref(mat)
 
     def test_deformation_matches_reference(self):
         mat = gen_deform_d(DeformSpec(4, (6, 3, 1), 1))
-        assert _lattice_table(mat, mat.cols) == _lattice_table_ref(mat, mat.cols)
+        assert _lattice_table(mat) == _lattice_table_ref(mat)
+
+    @given(lattice_inputs())
+    @settings(max_examples=150, deadline=None)
+    def test_nonzero_counts_give_the_lcm_period(self, mat):
+        # lcm period = minimum period (Higashitani-Tran-Yoshinaga): every
+        # column is nonzero, so the divisors of the lattices that survive
+        # inclusion-exclusion already reach the lcm period.
+        table = _lattice_table(mat)
+        assert math.lcm(*(divs[-1] for _, divs in table if divs)) == lcm_period(mat).value
 
 
 class TestElementaryDivisors:
@@ -291,11 +299,10 @@ class TestLcmPeriod:
 
     def test_cap_gives_lower_bound(self):
         # The divisor 2 of B_2 needs the pair {e1-e2, e1+e2}; size-1
-        # subsets alone miss it.
+        # subsets alone miss it.  A cap at the rank 2 is already exact.
         mat = gen_coxeter("B", 2)
         assert lcm_period(mat, max_subset_size=1) == PeriodResult(1, False)
-        capped = lcm_period(mat, max_subset_size=2)
-        assert capped.value == 2 and not capped.exact
+        assert lcm_period(mat, max_subset_size=2) == PeriodResult(2, True)
 
     def test_cap_at_least_n_is_exact(self):
         mat = gen_coxeter("B", 2)
@@ -310,22 +317,23 @@ class TestLcmPeriod:
         with pytest.raises(TooManyColumns) as exc:
             lcm_period(wide)
         assert "max_subset_size (charquasi period --max-subset-size N" in str(exc.value)
-        assert lcm_period(wide, max_subset_size=2) == PeriodResult(1, False)
+        assert lcm_period(wide, max_subset_size=2) == PeriodResult(1, True)
 
     @given(int_matrices(max_rows=3, max_cols=5))
     @settings(max_examples=75, deadline=None)
-    def test_lattice_table_matches_naive_enumeration(self, mat):
+    def test_matches_naive_enumeration(self, mat):
         assert lcm_period(mat).value == _naive_lcm_period(mat)
 
     @staticmethod
     def _check_every_cap(mat):
         assert lcm_period(mat) == PeriodResult(_naive_lcm_period(mat), True)
+        rank = smith_divisors(mat).rank
         for cap in range(1, mat.cols + 2):
-            want = PeriodResult(_naive_lcm_period(mat, cap), cap >= mat.cols)
+            want = PeriodResult(_naive_lcm_period(mat, cap), cap >= rank)
             assert lcm_period(mat, cap) == want
 
-    @given(int_matrices(max_rows=3, max_cols=6))
-    @settings(max_examples=50, deadline=None)
+    @given(st.one_of(int_matrices(max_rows=3, max_cols=6), lattice_inputs()))
+    @settings(max_examples=110, deadline=None)
     def test_every_cap_matches_naive_enumeration(self, mat):
         self._check_every_cap(mat)
 
@@ -336,10 +344,23 @@ class TestLcmPeriod:
         self._check_every_cap(mat)
 
     def test_one_table_entry_per_lattice(self):
-        # B2 spans 7 lattices: 0, four lines, Z^2 and the index-2 lattice
-        # of e1 - e2, e1 + e2.  D5 spans 428.
-        assert len(_lattice_table(gen_coxeter("B", 2), 4)) == 7
-        assert len(_lattice_table(gen_coxeter("D", 5), 20)) == 428
+        # B2 spans 7 lattices, each with a nonzero signed count: 0, four
+        # lines, Z^2 and the index-2 lattice of e1 - e2, e1 + e2.  D5 spans
+        # 428.  For (1 2) the subsets {1} and {1, 2} both span Z and cancel,
+        # leaving 0 and 2Z: q - gcd(2, q) points.
+        assert len(_lattice_table(gen_coxeter("B", 2))) == 7
+        assert len(_lattice_table(gen_coxeter("D", 5))) == 428
+        assert _lattice_table(IntMatrix(((1, 2),))) == ((1, ()), (-1, (2,)))
+
+    def test_builds_no_lattice_table(self):
+        # The period reads only independent column sets; the signed table
+        # is inclusion-exclusion's alone.
+        mat = gen_deform_d(DeformSpec(3, (6, 3), 1))
+        _lattice_table.cache_clear()
+        lcm_period(mat)
+        lcm_period(mat, 2)
+        info = _lattice_table.cache_info()
+        assert (info.hits, info.misses) == (0, 0)
 
     def test_divides_relation_with_cap(self):
         mat = gen_deform_d(DeformSpec(3, (6, 3), 1))
