@@ -14,6 +14,15 @@ stderr with exit code 2.
 
 Start-up loads only argparse, errors and arrangements; each command imports
 the layers it runs (intlinalg, counting, closedforms) in its own handler.
+
+entrypoint() is the one process entry: the `charquasi` console script and
+`python -m charquasi.cli` both run it.  It calls gc.freeze() before main().
+Every object alive by then (the interpreter's, site's, argparse's and this
+package's) stays alive until exit anyway; frozen, it is walked by no later
+collection, neither the run's own full collections nor the several that
+interpreter finalization runs.  main() does not freeze, so tests, tracing and
+library callers that call it in their own process keep normal collection.
+The exit path (atexit handlers, flushes, exit codes) is the normal one.
 """
 
 from __future__ import annotations
@@ -139,10 +148,11 @@ def cmd_quasi(args: argparse.Namespace) -> int:
             qp = interpolate_quasi(gen_deform(family, spec), known_period(spec, family))
     else:
         raise ValueError("need a matrix file or --family")
-    # Closed forms repeat few distinct constituents; format each one once.
-    text = {poly: str(poly) for poly in set(qp.constituents)}
+    # Closed forms repeat few distinct constituent objects; format each once.
+    distinct = {id(p): p for p in qp.constituents}
+    text = {key: str(p) for key, p in distinct.items()}
     lines = [f"period {qp.period}"]
-    lines += (f"k={k}: {text[p]}" for k, p in enumerate(qp.constituents, 1))
+    lines += (f"k={k}: {text[id(p)]}" for k, p in enumerate(qp.constituents, 1))
     sys.stdout.write("\n".join(lines) + "\n")
     return 0
 
@@ -261,6 +271,9 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def entrypoint() -> None:
+    import gc
+
+    gc.freeze()  # see the module docstring
     sys.exit(main())
 
 

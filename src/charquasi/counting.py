@@ -168,10 +168,12 @@ class QuasiPolynomial(_Value):
             raise ValueError(
                 f"need exactly {period} constituents, got {len(constituents)}"
             )
-        degs = {p.degree for p in constituents}
-        if len(degs) != 1:
+        # Closed forms hand rho references to the few constituents of the
+        # divisors of rho; values are immutable, so each object is checked once.
+        distinct = {id(p): p for p in constituents}.values()
+        if len({p.degree for p in distinct}) != 1:
             raise ValueError("constituents must share one degree")
-        if not all(p.is_monic for p in constituents):
+        if not all(p.is_monic for p in distinct):
             raise ValueError("constituents must be monic")
         object.__setattr__(self, "period", period)
         object.__setattr__(self, "constituents", constituents)

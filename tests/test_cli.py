@@ -1,5 +1,6 @@
 """CLI behavior: output formats, exit codes, method agreement."""
 
+import gc
 import io
 import json
 import re
@@ -330,6 +331,75 @@ class TestConsoleScript:
         assert "empty arrangement" in proc.stderr
 
 
+# entrypoint() with main replaced by a probe that reports the freeze count
+# before the entry and inside it.
+_FREEZE_PROBE = """
+import gc
+from charquasi import cli
+before = gc.get_freeze_count()
+def probe():
+    print(before, gc.get_freeze_count())
+    return 0
+cli.main = probe
+cli.entrypoint()
+"""
+
+
+def _entry_argvs(b2_file: str) -> list[list[str]]:
+    """One invocation of every subcommand and method, plus an exit-2 error."""
+    ddeform = ["--family", "Ddeform", "--m", "3", "--s", "6,3,1", "--r", "1"]
+    return [
+        ["gen", *ddeform],
+        ["period", b2_file],
+        ["count", b2_file, "--q", "7", "--method", "brute"],
+        ["count", b2_file, "--q", "7", "--method", "snf"],
+        ["quasi", b2_file, "--method", "interpolate"],
+        ["quasi", *ddeform, "--method", "closed-form"],
+        ["verify", "--json", "--family", "B", "--m", "3", "--qmax", "7"],
+        ["gen", "--family", "A", "--m", "1"],
+    ]
+
+
+class TestEntrypoint:
+    def test_entrypoint_freezes_before_main(self):
+        proc = subprocess.run(
+            [sys.executable, "-c", _FREEZE_PROBE],
+            capture_output=True,
+            text=True,
+            env=child_env(),
+        )
+        assert proc.returncode == 0, proc.stderr
+        before, inside = map(int, proc.stdout.split())
+        assert before == 0
+        assert inside > 0
+
+    def test_main_does_not_freeze(self, capsys, b2_file):
+        before = gc.get_freeze_count()
+        for argv in _entry_argvs(b2_file):
+            main(argv)
+        capsys.readouterr()
+        assert gc.get_freeze_count() == before
+
+    def test_module_entry_matches_main(self, capsys, b2_file):
+        def masked(text):
+            return re.sub(r'"ms": \d+', '"ms": 0', text)
+
+        codes = set()
+        for argv in _entry_argvs(b2_file):
+            code, out, err = run_cli(capsys, *argv)
+            proc = subprocess.run(
+                [sys.executable, "-m", "charquasi.cli", *argv],
+                capture_output=True,
+                text=True,
+                env=child_env(),
+            )
+            assert (proc.returncode, masked(proc.stdout), proc.stderr) == (
+                code, masked(out), err
+            ), argv
+            codes.add(code)
+        assert codes == {0, 2}
+
+
 _NUMPY_PROBE = """
 import json, sys
 import charquasi
@@ -449,7 +519,7 @@ class TestStartUp:
         loaded = _layer_probe(b2_file, "period", "snf", "interpolate")
         assert {"charquasi.cli", "charquasi.arrangements"} <= loaded["import"]
         layers = {"charquasi.intlinalg", "charquasi.counting", "charquasi.closedforms"}
-        unused = {"dataclasses", "inspect", "fractions", "json"}
+        unused = {"dataclasses", "inspect", "fractions", "json", "gc"}
         assert not loaded["import"] & (layers | unused)
         assert "charquasi.intlinalg" in loaded["period"]
         assert not loaded["period"] & {"charquasi.counting", "charquasi.closedforms"}

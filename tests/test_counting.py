@@ -207,6 +207,21 @@ class TestQuasiPolynomial:
         with pytest.raises(ValueError):
             QuasiPolynomial(2, (Polynomial((0, 1)), Polynomial((0, 0, 1))))
 
+    def test_rejects_bad_constituent_behind_repeated_references(self):
+        # Degree and monic are checked once per distinct object; a bad one
+        # that appears only as repeated references is still refused.
+        good = Polynomial.from_roots((1, 2))
+        for bad in (Polynomial((1, 2, 2)), Polynomial.from_roots((1,))):
+            for refs in (
+                (good, bad, bad, good, bad, bad),
+                (good, good, good, good, bad, bad),
+                (bad, good, bad, good, bad, good),
+            ):
+                with pytest.raises(ValueError):
+                    QuasiPolynomial(6, refs)
+        # Equal values in distinct objects pass as before.
+        QuasiPolynomial(3, (good, Polynomial.from_roots((1, 2)), good))
+
     def test_rejects_bad_period(self):
         with pytest.raises(ValueError):
             QuasiPolynomial(0, ())
