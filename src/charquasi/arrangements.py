@@ -113,9 +113,6 @@ class IntMatrix(_Value):
 
     @classmethod
     def from_columns(cls, cols: Iterable[Sequence[int]]) -> "IntMatrix":
-        cols = [tuple(c) for c in cols]
-        if not cols:
-            raise ValueError("need at least one column")
         return cls(tuple(zip(*cols)))
 
     @property

@@ -88,7 +88,8 @@ def _family_from_args(args: argparse.Namespace) -> tuple[str, str, DeformSpec]:
     s = args.s or ()
     label = f"{args.family} m={args.m} s=({','.join(str(v) for v in s)})"
     if args.family == "Adeform":
-        # The parity split is meaningless for type A; it is ignored.
+        if args.r is not None:
+            raise ValueError("--r only applies to Ddeform")
         return label, "Adeform", DeformSpec(args.m, s)
     r = 0 if args.r is None else args.r
     return f"{label} r={r}", "Ddeform", DeformSpec(args.m, s, r)
@@ -137,7 +138,8 @@ def cmd_quasi(args: argparse.Namespace) -> int:
         from .intlinalg import lcm_period
 
         mat = _read_matrix(args.matrix)
-        qp = interpolate_quasi(mat, lcm_period(mat).value)
+        # A cap of m is at least the rank, so the period is exact at any width.
+        qp = interpolate_quasi(mat, lcm_period(mat, mat.rows).value)
     elif args.family is not None:
         _, family, spec = _family_from_args(args)
         if args.method == "closed-form":

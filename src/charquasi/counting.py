@@ -37,7 +37,7 @@ from functools import reduce
 from typing import Iterable
 
 from .arrangements import IntMatrix, _Value
-from .errors import BudgetExceeded, NotIntegral, NotMonic, TooManyColumns
+from .errors import BudgetExceeded, NotIntegral, NotMonic
 
 DEFAULT_POINT_BUDGET = 10**8
 _TABLE_BITS = 1 << 20
@@ -116,8 +116,6 @@ class Polynomial(_Value):
             return Polynomial(tuple(other * c for c in self.coeffs))
         if not isinstance(other, Polynomial):
             return NotImplemented
-        if not self.coeffs or not other.coeffs:
-            return Polynomial(())
         out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
         for i, a in enumerate(self.coeffs):
             if a:
@@ -214,8 +212,8 @@ def brute_force_count(mat: IntMatrix, q: int, budget: int = DEFAULT_POINT_BUDGET
     out when it is reached; none is stored.
 
     Raises BudgetExceeded when q^m exceeds the point budget, its only
-    limit.  q = 1 always gives 0: every product is 0 mod 1 and the matrix
-    has at least one column.
+    limit.  q = 1 gives 0 on every layout: every residue is 0 mod 1, so
+    each point lies on the first column's hyperplane.
     """
     q = operator.index(q)
     if q < 1:
@@ -228,8 +226,6 @@ def brute_force_count(mat: IntMatrix, q: int, budget: int = DEFAULT_POINT_BUDGET
             "count with snf_count (charquasi count --method snf), which has no "
             "point budget"
         )
-    if q == 1:
-        return 0
     rows = [[v % q for v in row] for row in mat.entries]
     # k grows while a column table keeps at least two values of the top
     # block coordinate; top is how many it keeps.
@@ -356,23 +352,17 @@ def snf_count(mat: IntMatrix, q: int) -> int:
     """|M_S(q)| by inclusion-exclusion over the elementary divisor data.
 
     Sums one term per distinct column lattice with a nonzero signed count
-    (built once per matrix and cached).  Matrices wider than
-    FULL_ENUMERATION_LIMIT are refused; the limit is a policy, the cost
-    grows with the lattice count.  Agreement with brute_force_count for all
-    q is the core cross-check of the package.
+    (built once per matrix and cached).  It has no column limit: the cost
+    grows with the lattice count, not with the width.  Agreement with
+    brute_force_count for all q is the core cross-check of the package.
     """
     # Loaded here so closed-form work, which needs only the result types,
     # never imports the subset layer.
-    from .intlinalg import FULL_ENUMERATION_LIMIT, _lattice_table
+    from .intlinalg import _lattice_table
 
     q = operator.index(q)
     if q < 1:
         raise ValueError("modulus q must be >= 1")
-    if mat.cols > FULL_ENUMERATION_LIMIT:
-        raise TooManyColumns(
-            f"too many columns for inclusion-exclusion: {mat.cols} > "
-            f"{FULL_ENUMERATION_LIMIT}; brute_force_count has no column limit"
-        )
     m = mat.rows
     total = 0
     for count, divs in _lattice_table(mat):
@@ -412,9 +402,11 @@ def interpolate_quasi(
     """Interpolate the quasi-polynomial of the matrix for a given period.
 
     Per residue class k in 1..period the first m + 1 sample moduli
-    q = k + period*j with q >= 2 are counted by brute_force_count (each
-    within budget) and interpolated exactly.  A wrong period surfaces as
-    NotIntegral or NotMonic, never as a silently wrong result.
+    q = k + period*j, j = 0..m, are counted by brute_force_count (each
+    within budget) and interpolated exactly.  q = 1 is a valid sample of
+    class 1: its constituent sum_J (-1)^|J| q^(m - rank J) is 0 there,
+    as is the count.  A wrong period surfaces as NotIntegral or NotMonic,
+    never as a silently wrong result.
     """
     period = operator.index(period)
     if period < 1:
@@ -422,9 +414,7 @@ def interpolate_quasi(
     m = mat.rows
     constituents = []
     for k in range(1, period + 1):
-        # Smallest sample modulus >= 2 in the class, then m more steps of rho.
-        first = k if k >= 2 else 1 + period
-        xs = [first + period * j for j in range(m + 1)]
+        xs = [k + period * j for j in range(m + 1)]
         ys = [brute_force_count(mat, x, budget) for x in xs]
         poly = _newton_integer_poly(xs, ys)
         if poly.degree != m or not poly.is_monic:
@@ -458,14 +448,12 @@ def verify_minimum_period(qp: QuasiPolynomial) -> bool:
 
 
 def check_gcd_property(qp: QuasiPolynomial) -> bool:
-    """True when constituents depend only on gcd(period, k)."""
+    """True when constituents depend only on gcd(period, k).
+
+    The first class with gcd g is g itself, so each class is compared
+    with the class of its gcd.
+    """
     rho = qp.period
-    seen: dict[int, Polynomial] = {}
-    for k in range(1, rho + 1):
-        g = math.gcd(rho, k)
-        if g in seen:
-            if seen[g] != qp.constituents[k - 1]:
-                return False
-        else:
-            seen[g] = qp.constituents[k - 1]
-    return True
+    return all(
+        qp.constituent(k) == qp.constituent(math.gcd(k, rho)) for k in range(1, rho + 1)
+    )

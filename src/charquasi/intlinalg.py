@@ -38,8 +38,12 @@ per canonical row Hermite normal form of L_J, the signed count
 sum (-1)^|J|.  An entry whose count is 0 adds nothing to the entries it
 would extend, so it is not extended, and the table drops it before its
 divisors are taken.  Its size is the number of lattices with a nonzero
-count, not 2^n.  Refusing more than FULL_ENUMERATION_LIMIT columns is a
-policy kept for callers, not a bound on either cost.
+count, not 2^n, and nothing here bounds it by the column count.
+
+One refusal is left: lcm_period without a cap refuses more than
+FULL_ENUMERATION_LIMIT columns.  It is a policy, not a cost (a cap of
+rank S or more walks the same frontier and is exact); bench/selftest.py
+pins it as its refused call until a lattice budget replaces it.
 """
 
 from __future__ import annotations
@@ -54,7 +58,7 @@ from .arrangements import IntMatrix, _Value
 from .arrangements import known_period
 from .errors import IndexOutOfRange, TooManyColumns
 
-# Widest matrix lcm_period (without a cap) and snf_count accept.
+# Widest matrix lcm_period accepts without a cap.
 FULL_ENUMERATION_LIMIT = 24
 
 
@@ -128,7 +132,7 @@ def _hnf_add(
     A basis is m rows of length m: row p is zero or has a positive pivot at
     column p, and the entries above each pivot lie in [0, pivot).  The
     result has the same form, so equal lattices give equal tuples; when
-    vec already lies in the lattice it is basis itself.
+    vec already lies in the lattice it is an equal tuple.
     """
     rows = list(basis)
     v = vec
@@ -145,8 +149,6 @@ def _hnf_add(
                 r, v = v, [a - k * b for a, b in zip(r, v)]
             rows[p] = r if r[p] >= 0 else [-x for x in r]
             first = min(first, p)
-    if first == len(rows):
-        return basis
     # Rows above the first changed pivot were reduced against each other.
     # Row p is zero left of column p, so whole-row updates touch only
     # columns p and up.
@@ -233,10 +235,11 @@ def lcm_period(mat: IntMatrix, max_subset_size: int | None = None) -> PeriodResu
     """lcm of the last elementary divisor over column subsets of the matrix.
 
     Without a cap this covers all nonempty subsets and is exact; it
-    refuses matrices with more than FULL_ENUMERATION_LIMIT columns.  With
-    max_subset_size = c it covers the subsets of size <= c; the result is
-    exact when c >= rank S and otherwise only a lower bound (a divisor of
-    the true period).
+    refuses matrices with more than FULL_ENUMERATION_LIMIT columns, the
+    package's one column limit.  With max_subset_size = c it covers the
+    subsets of size <= c; the result is exact when c >= rank S (so
+    c = the row count always is) and otherwise only a lower bound (a
+    divisor of the true period).
 
     Only the lattices of independent column sets are built (see the module
     docstring): a column extends a lattice when it raises the rank, up to
@@ -244,11 +247,13 @@ def lcm_period(mat: IntMatrix, max_subset_size: int | None = None) -> PeriodResu
     over the lattices of rank top.
     """
     n = mat.cols
+    rank = _rank(_span(mat.rows, mat.columns()))
     if max_subset_size is None:
         if n > FULL_ENUMERATION_LIMIT:
             raise TooManyColumns(
                 f"too many columns for full enumeration: {n} > "
-                f"{FULL_ENUMERATION_LIMIT}; for a lower bound pass max_subset_size "
+                f"{FULL_ENUMERATION_LIMIT}; the matrix has rank {rank}, and any cap "
+                f"N >= {rank} gives the exact period: pass max_subset_size "
                 "(charquasi period --max-subset-size N on the command line)"
             )
         cap = n
@@ -256,7 +261,6 @@ def lcm_period(mat: IntMatrix, max_subset_size: int | None = None) -> PeriodResu
         cap = operator.index(max_subset_size)
         if cap < 1:
             raise ValueError("max_subset_size must be >= 1")
-    rank = _rank(_span(mat.rows, mat.columns()))
     top = min(cap, rank)
     # Lattices of independent sets below rank top, with their rank; those
     # of rank top are never extended and only their last divisor is kept.

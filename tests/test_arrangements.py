@@ -36,6 +36,12 @@ class TestIntMatrix:
         with pytest.raises(ValueError):
             IntMatrix(((),))
 
+    def test_from_columns_rejects_empty(self):
+        # The constructor's own check refuses no columns and empty columns.
+        for cols in ([], [()]):
+            with pytest.raises(ValueError, match="at least one row and one column"):
+                IntMatrix.from_columns(cols)
+
     def test_rejects_ragged(self):
         with pytest.raises(ValueError):
             IntMatrix(((1, 2), (3,)))

@@ -14,7 +14,16 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import charquasi
-from charquasi import DeformSpec, chi_deform_a, chi_deform_d, known_period
+from charquasi import (
+    DeformSpec,
+    IntMatrix,
+    chi_coxeter,
+    chi_deform_a,
+    chi_deform_d,
+    format_matrix,
+    gen_coxeter,
+    known_period,
+)
 from charquasi.cli import main
 
 from conftest import child_env, random_chain_a, random_chain_d
@@ -59,6 +68,16 @@ class TestGen:
         assert code == 2
         assert "deformation" in err
 
+    def test_family_needs_m(self, capsys):
+        code, _, err = run_cli(capsys, "gen", "--family", "B")
+        assert (code, err) == (2, "error: --family needs --m\n")
+
+    def test_bad_s_list_exits_2(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["gen", "--family", "Adeform", "--m", "2", "--s", "1,x"])
+        assert exc.value.code == 2
+        assert "--s expects comma-separated integers" in capsys.readouterr().err
+
     def test_unknown_family_exits_2(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["gen", "--family", "X", "--m", "2"])
@@ -87,6 +106,17 @@ def test_empty_deformation_fails_alike_on_every_command(capsys, letter):
         ]
         for argv in commands:
             assert run_cli(capsys, *argv) == (2, "", f"error: {message}\n"), argv
+
+
+@pytest.mark.parametrize(
+    "command",
+    [("gen",), ("quasi", "--method", "closed-form"), ("quasi", "--method", "interpolate"), ("verify",)],
+)
+def test_r_on_a_deformation_exits_2(capsys, command):
+    # The parity split belongs to type D; Adeform refuses it, as the
+    # reflection families refuse --s and --r.
+    argv = (*command, "--family", "Adeform", "--m", "2", "--s", "2", "--r", "9")
+    assert run_cli(capsys, *argv) == (2, "", "error: --r only applies to Ddeform\n")
 
 
 @pytest.fixture
@@ -237,7 +267,66 @@ class TestQuasi:
         assert out1 == out2
 
 
+def _transformed(family: str, m: int) -> IntMatrix:
+    """A family matrix after two row shears, reversed columns and sign flips.
+
+    The shears are unimodular (x -> U^T x permutes (Z/q)^m) and a column's
+    sign does not move its hyperplane, so counts and period are the family's.
+    """
+    rows = [list(r) for r in gen_coxeter(family, m).entries]
+    rows[0] = [a + b for a, b in zip(rows[0], rows[1])]
+    rows[-1] = [a - 2 * b for a, b in zip(rows[-1], rows[0])]
+    cols = list(zip(*rows))[::-1]
+    return IntMatrix.from_columns(
+        c if j % 3 else tuple(-v for v in c) for j, c in enumerate(cols)
+    )
+
+
+@pytest.fixture(scope="module")
+def wide_files(tmp_path_factory):
+    """Transformed B5 (25 columns) and D6 (30 columns) matrix files."""
+    out = {}
+    for family, m in (("B", 5), ("D", 6)):
+        path = tmp_path_factory.mktemp("wide") / f"{family}{m}.txt"
+        path.write_text(format_matrix(_transformed(family, m)))
+        out[family, m] = str(path)
+    return out
+
+
+@pytest.mark.parametrize("family, m", [("B", 5), ("D", 6)])
+class TestWideMatrices:
+    """Only uncapped `period` refuses more than 24 columns."""
+
+    def test_snf_count_matches_closed_form(self, capsys, wide_files, family, m):
+        qp = chi_coxeter(family, m)
+        for q in (1, 2, 7, 12):
+            code, out, _ = run_cli(
+                capsys, "count", wide_files[family, m], "--method", "snf", "--q", str(q)
+            )
+            assert (code, out) == (0, f"{qp(q)}\n"), q
+
+    def test_quasi_file_matches_closed_form(self, capsys, wide_files, family, m):
+        flags = ("--family", family, "--m", str(m))
+        want = run_cli(capsys, "quasi", *flags, "--method", "closed-form")
+        got = run_cli(capsys, "quasi", wide_files[family, m], "--method", "interpolate")
+        assert got == want and want[0] == 0
+
+    def test_uncapped_period_exits_2_naming_the_rank(self, capsys, wide_files, family, m):
+        path = wide_files[family, m]
+        code, out, err = run_cli(capsys, "period", path)
+        assert (code, out) == (2, "")
+        assert "too many columns" in err
+        assert f"rank {m}, and any cap N >= {m} gives the exact period" in err
+        code, out, _ = run_cli(capsys, "period", path, "--max-subset-size", str(m))
+        assert (code, out) == (0, f"rho = {chi_coxeter(family, m).period}\n")
+
+
 class TestVerify:
+    @pytest.mark.parametrize("family, m", [("B", 5), ("C", 5), ("D", 6)])
+    def test_wide_coxeter_families_pass(self, capsys, family, m):
+        code, out, _ = run_cli(capsys, "verify", "--family", family, "--m", str(m))
+        assert code == 0 and out.splitlines()[-1].startswith("verdict: pass")
+
     def test_json_schema_and_content(self, capsys):
         code, out, _ = run_cli(
             capsys, "verify", "--family", "Ddeform", "--m", "2", "--s", "2,1",

@@ -25,7 +25,6 @@ from charquasi import (
     NotMonic,
     Polynomial,
     QuasiPolynomial,
-    TooManyColumns,
     brute_force_count,
     check_gcd_property,
     chi_coxeter,
@@ -286,6 +285,15 @@ class TestBruteForce:
             for s in (1, 2, 6, 255, 256, q - 1, q, 2 * q, 2**64 + 6):
                 assert brute_force_count(IntMatrix(((s,),)), q) == q - math.gcd(s, q)
 
+    @pytest.mark.parametrize("table_bits", [3, 2**7, 2**9, _TABLE_BITS])
+    def test_q1_is_zero_on_every_layout(self, table_bits):
+        # Every residue is 0 mod 1, so each layout rules out every point
+        # through the general path.
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(counting, "_TABLE_BITS", table_bits)
+            for m in range(1, 6):
+                assert brute_force_count(_mixed_matrix(m), 1) == 0, m
+
     def test_point_budget_is_the_only_limit_on_q(self):
         mat = IntMatrix(((1,),))
         with pytest.raises(BudgetExceeded, match="budget="):
@@ -399,10 +407,12 @@ class TestSnfCount:
             snf_count(gen_coxeter("B", 2), 0)
 
     def test_column_limit(self):
-        with pytest.raises(TooManyColumns):
-            snf_count(gen_coxeter("B", 5), 5)  # 25 columns
-        mat = gen_coxeter("B", 3)  # 9 columns
-        assert snf_count(mat, 5) == brute_force_count(mat, 5)
+        # There is none: the cost is the lattice table, not the width, so
+        # B5 (25 columns) and D6 (30) are counted in full.
+        for family, m in (("B", 5), ("D", 6)):
+            mat, qp = gen_coxeter(family, m), chi_coxeter(family, m)
+            for q in range(1, 13):
+                assert snf_count(mat, q) == qp(q), (family, m, q)
 
     @given(int_matrices(max_rows=3, max_cols=5), st.integers(1, 10))
     @settings(max_examples=150, deadline=None)
@@ -508,9 +518,8 @@ class TestInterpolation:
         qp = interpolate_quasi(mat, rho)
         m = mat.rows
         for k in range(1, rho + 1):
-            first = k if k >= 2 else 1 + rho
             for j in (m + 1, m + 2):
-                q = first + rho * j
+                q = k + rho * j
                 assert qp.constituent(k)(q) == brute_force_count(mat, q)
 
 
