@@ -113,7 +113,8 @@ class IntMatrix(_Value):
 
     @classmethod
     def from_columns(cls, cols: Iterable[Sequence[int]]) -> "IntMatrix":
-        return cls(tuple(zip(*cols)))
+        """Matrix with the given columns; ragged columns raise ValueError."""
+        return cls(tuple(zip(*cols, strict=True)))
 
     @property
     def rows(self) -> int:
@@ -122,10 +123,6 @@ class IntMatrix(_Value):
     @property
     def cols(self) -> int:
         return len(self.entries[0])
-
-    def column(self, j: int) -> tuple[int, ...]:
-        """Column at 0-based position j."""
-        return tuple(row[j] for row in self.entries)
 
     def columns(self) -> tuple[tuple[int, ...], ...]:
         return tuple(zip(*self.entries))

@@ -176,10 +176,6 @@ class QuasiPolynomial(_Value):
         object.__setattr__(self, "period", period)
         object.__setattr__(self, "constituents", constituents)
 
-    @property
-    def degree(self) -> int:
-        return self.constituents[0].degree
-
     def constituent(self, k: int) -> Polynomial:
         """Constituent of the residue class of k (any positive integer)."""
         k = operator.index(k)

@@ -23,7 +23,7 @@ class TestIntMatrix:
     def test_shape_and_columns(self):
         mat = IntMatrix(((1, 0, 2), (0, 1, -1)))
         assert (mat.rows, mat.cols) == (2, 3)
-        assert mat.column(2) == (2, -1)
+        assert mat.columns()[2] == (2, -1)
         assert mat.columns() == ((1, 0), (0, 1), (2, -1))
 
     def test_from_columns_round_trip(self):
@@ -45,6 +45,12 @@ class TestIntMatrix:
     def test_rejects_ragged(self):
         with pytest.raises(ValueError):
             IntMatrix(((1, 2), (3,)))
+
+    def test_from_columns_rejects_ragged(self):
+        # A plain zip would stop at the shortest column and return ((1, 3),).
+        for cols in ([(1, 2), (3,)], [(3,), (1, 2)]):
+            with pytest.raises(ValueError):
+                IntMatrix.from_columns(cols)
 
     def test_rejects_zero_column(self):
         with pytest.raises(ValueError):
@@ -207,3 +213,16 @@ class TestMatrixText:
     def test_parse_rejects_zero_column(self):
         with pytest.raises(ValueError):
             parse_matrix("2 2\n1 0\n1 0\n")
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("", "empty matrix text"),
+            ("# only a comment\n\n", "empty matrix text"),
+            ("a b\n1 0\n", "header must be two integers"),
+            ("0 2\n", "at least one row and one column"),
+        ],
+    )
+    def test_parse_refusal_messages(self, text, message):
+        with pytest.raises(ValueError, match=message):
+            parse_matrix(text)

@@ -205,6 +205,23 @@ class TestQuasi:
         assert code == 0
         assert out == "period 2\nk=1: q^2 - 4*q + 3\nk=2: q^2 - 4*q + 4\n"
 
+    def test_interpolate_from_file_needs_a_cap_of_m(self, capsys, tmp_path):
+        # e_1..e_4 and (1, 1, 1, 1, 2) in Z^5: every four columns are
+        # torsion-free, so a cap of 4 gives rho = 1; all five have det 2.
+        # x_1..x_4 != 0 leaves (q-1)^4 points; 2 x_5 != -(x_1+...+x_4) then
+        # leaves q - 1 choices of x_5 for odd q, and for even q, q or q - 2 as
+        # the sum is odd or even, (q-1)^5 - 1 in all.
+        cols = [tuple(int(i == j) for i in range(5)) for j in range(4)]
+        path = tmp_path / "rank5.txt"
+        path.write_text(format_matrix(IntMatrix.from_columns([*cols, (1, 1, 1, 1, 2)])))
+        code, out, _ = run_cli(capsys, "quasi", str(path), "--method", "interpolate")
+        assert code == 0
+        assert out.startswith("period 2\n")
+        assert out.splitlines()[1:] == [
+            "k=1: q^5 - 5*q^4 + 10*q^3 - 10*q^2 + 5*q - 1",
+            "k=2: q^5 - 5*q^4 + 10*q^3 - 10*q^2 + 5*q - 2",
+        ]
+
     def test_interpolate_family_golden(self, capsys):
         code, out, _ = run_cli(
             capsys, "quasi", "--family", "A", "--m", "2",

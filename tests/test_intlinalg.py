@@ -236,7 +236,8 @@ class TestSmithDivisors:
     @given(int_matrices(), st.data())
     def test_column_permutation_invariance(self, mat, data):
         perm = data.draw(st.permutations(range(mat.cols)))
-        shuffled = IntMatrix.from_columns([mat.column(j) for j in perm])
+        cols = mat.columns()
+        shuffled = IntMatrix.from_columns([cols[j] for j in perm])
         assert smith_divisors(shuffled) == smith_divisors(mat)
 
     @given(int_matrices(), st.data())
@@ -245,8 +246,8 @@ class TestSmithDivisors:
             st.lists(st.booleans(), min_size=mat.cols, max_size=mat.cols)
         )
         cols = [
-            tuple(-v for v in mat.column(j)) if flip else mat.column(j)
-            for j, flip in enumerate(flips)
+            tuple(-v for v in col) if flip else col
+            for col, flip in zip(mat.columns(), flips)
         ]
         assert smith_divisors(IntMatrix.from_columns(cols)) == smith_divisors(mat)
 
