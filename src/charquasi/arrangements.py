@@ -5,14 +5,15 @@ normal vector of the hyperplane {x : x . s_j = 0}; counting later reads the
 columns modulo q.  The families are the diagonal deformations A_m(s) and
 D_m(s): the columns s_1 e_1, ..., s_t e_t in the orthonormal basis, then
 e_i - e_j (and for type D also e_i + e_j) for 1 <= i < j <= m, subject to
-the divisibility chain s_t | s_{t-1} | ... | s_1 (for type D additionally
-the parity split: s_1, ..., s_r even and s_{r+1}, ..., s_t odd).
+the divisibility chain s_t | s_{t-1} | ... | s_1.  The chain puts the even
+entries first, so s fixes type D's parity split: s_1, ..., s_r even and
+s_{r+1}, ..., s_t odd, where r is the number of even entries.
 
 The four reflection families are deformations too, and coxeter_spec is the
 one place that says which:
 
-    A_m = A_m()                   B_m = D_m(1, ..., 1; r = 0)
-    D_m = D_m(; r = 0)            C_m = D_m(2, ..., 2; r = m)
+    A_m = A_m()                   B_m = D_m(1, ..., 1)      (r = 0)
+    D_m = D_m()                   C_m = D_m(2, ..., 2)      (r = m)
 
 with B_1 = A_1(1) and C_1 = A_1(2), since D-type pairs need m >= 2.
 
@@ -132,10 +133,10 @@ class DeformSpec(_Value):
     """Deformation data: ambient dimension m, diagonal tuple s, even-prefix r.
 
     The tuple s = (s_1, ..., s_t) must satisfy t <= m, s_i >= 1 and the
-    divisibility chain s_t | ... | s_1.  r is the number of leading even
-    entries and is only meaningful for type-D use; r=None means the parity
-    split is not declared (type-A use).  When r is given, s_1, ..., s_r must
-    be even and s_{r+1}, ..., s_t odd.
+    divisibility chain s_t | ... | s_1.  r is the number of even entries of
+    s, worked out from s; the chain makes them the leading ones, which is
+    the parity split that type D reads.  An explicit r is only checked:
+    ValueError unless 0 <= r <= t, InvalidParity unless it equals the count.
     """
 
     __slots__ = ("m", "s", "r")
@@ -156,19 +157,18 @@ class DeformSpec(_Value):
                 raise InvalidChain(
                     f"divisibility chain broken: {b} does not divide {a}"
                 )
+        even = sum(v % 2 == 0 for v in s)
         if r is not None:
             r = operator.index(r)
             if r < 0 or r > len(s):
                 raise ValueError(f"need 0 <= r <= t, got r = {r}")
-            for i in range(r):
-                if s[i] % 2:
-                    raise InvalidParity(f"s_{i + 1} = {s[i]} must be even")
-            for i in range(r, len(s)):
-                if s[i] % 2 == 0:
-                    raise InvalidParity(f"s_{i + 1} = {s[i]} must be odd")
+            if r != even:
+                raise InvalidParity(
+                    f"r must be the number of even entries of s, {even}; got r = {r}"
+                )
         object.__setattr__(self, "m", m)
         object.__setattr__(self, "s", s)
-        object.__setattr__(self, "r", r)
+        object.__setattr__(self, "r", even)
 
     @property
     def t(self) -> int:
@@ -201,15 +201,12 @@ def coxeter_spec(family: str, m: int) -> tuple[str, DeformSpec]:
     """
     if family not in COXETER_FAMILIES:
         raise ValueError(f"unknown family {family!r}, expected one of A B C D")
-    if family == "A":
-        return "Adeform", DeformSpec(m)
-    if family == "D":
-        return "Ddeform", DeformSpec(m, (), 0)
-    # B adds the columns e_i (all odd), C the columns 2 e_i (all even).
+    if family in ("A", "D"):
+        return f"{family}deform", DeformSpec(m)
+    # B adds the columns e_i (all odd), C the columns 2 e_i (all even);
+    # B_1 and C_1 are A_1(v), since D-type pairs need m >= 2.
     v = 1 if family == "B" else 2
-    if m == 1:
-        return "Adeform", DeformSpec(1, (v,))
-    return "Ddeform", DeformSpec(m, (v,) * m, 0 if v == 1 else m)
+    return "Adeform" if m == 1 else "Ddeform", DeformSpec(m, (v,) * m)
 
 
 def known_period(spec: DeformSpec, family: str) -> int:
@@ -218,15 +215,13 @@ def known_period(spec: DeformSpec, family: str) -> int:
     Adeform: s_1 for t >= 1, else 1.  Ddeform: lcm(s_1, 2) for t >= 1,
     else 2.  This is the one check that (family, spec) names an
     arrangement, and every generator and formula of a family runs it:
-    ValueError for an unknown family, InvalidParity for a type-D spec
-    without the parity split r, EmptyArrangement for A_1 and D_1 (m = 1,
-    t = 0: no hyperplanes), and ValueError for type D with m = 1 and t >= 1,
-    whose e_i +- e_j part is empty although its diagonal part is not.
+    ValueError for an unknown family, EmptyArrangement for A_1 and D_1
+    (m = 1, t = 0: no hyperplanes), and ValueError for type D with m = 1
+    and t >= 1, whose e_i +- e_j part is empty although its diagonal part
+    is not.
     """
     if family not in DEFORM_FAMILIES:
         raise ValueError(f"unknown deformation family {family!r}")
-    if family == "Ddeform" and spec.r is None:
-        raise InvalidParity("type-D deformation needs the even-prefix length r")
     if spec.m == 1 and not spec.t:
         raise EmptyArrangement(f"empty arrangement: {family[0]}_1 has no hyperplanes")
     if family == "Adeform":

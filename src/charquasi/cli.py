@@ -73,7 +73,8 @@ def _add_family_options(sp: argparse.ArgumentParser, required: bool) -> None:
         "--r",
         type=int,
         default=None,
-        help="number of leading even entries of s (Ddeform only, default 0)",
+        help="number of even entries of s (Ddeform only); worked out from --s, "
+        "and checked when given",
     )
 
 
@@ -91,8 +92,8 @@ def _family_from_args(args: argparse.Namespace) -> tuple[str, str, DeformSpec]:
         if args.r is not None:
             raise ValueError("--r only applies to Ddeform")
         return label, "Adeform", DeformSpec(args.m, s)
-    r = 0 if args.r is None else args.r
-    return f"{label} r={r}", "Ddeform", DeformSpec(args.m, s, r)
+    spec = DeformSpec(args.m, s, args.r)
+    return f"{label} r={spec.r}", "Ddeform", spec
 
 
 def _read_matrix(path: str) -> IntMatrix:

@@ -129,7 +129,8 @@ def chi_deform_d(spec: DeformSpec, k: int) -> Polynomial:
         prod_{i=1}^{t} (q - d_i - 2i + 2)
         * (prod_{i=t+1}^{m} (q - 2i + 1) + (m - t) prod_{i=t+1}^{m-1} (q - 2i + 1)),
 
-    even classes use the prefix-times-(P1 + P2) form whose correction sum
+    even classes use the prefix-times-(P1 + P2) form.  The prefix holds the
+    r even entries of s (spec.r, worked out from s), and the correction sum
     starts at j = r + 1 (see the module docstring for the wrong variant).
     """
     kp = _reduce_residue(k, known_period(spec, "Ddeform"))

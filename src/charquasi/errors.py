@@ -19,7 +19,11 @@ class InvalidChain(CharQuasiError):
 
 
 class InvalidParity(CharQuasiError):
-    """The even-prefix/odd-tail structure of a type-D tuple is violated."""
+    """An explicit r is not the number of even entries of s.
+
+    The divisibility chain makes the even entries of s its leading ones, so
+    DeformSpec works r out from s; a given r is only checked against it.
+    """
 
 
 class IndexOutOfRange(CharQuasiError, IndexError):

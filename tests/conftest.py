@@ -16,6 +16,7 @@ from __future__ import annotations
 import math
 import os
 import random
+from collections import Counter
 from pathlib import Path
 
 from hypothesis import strategies as st
@@ -30,6 +31,23 @@ def child_env() -> dict[str, str]:
     src = str(Path(charquasi.__file__).parents[1])
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     return env
+
+
+def count_calls(monkeypatch, module, *names: str) -> Counter:
+    """Wrap each module.name so that its calls, recursive ones too, are counted.
+
+    Work counts on fixed inputs are deterministic, so a pin on them catches
+    a change that costs work but keeps every answer right, which timing
+    cannot resolve.
+    """
+    calls: Counter = Counter()
+    for name in names:
+        def counted(*args, _name=name, _func=getattr(module, name)):
+            calls[_name] += 1
+            return _func(*args)
+
+        monkeypatch.setattr(module, name, counted)
+    return calls
 
 
 def nonzero_column(rng: random.Random, m: int, lo: int, hi: int) -> list[int]:

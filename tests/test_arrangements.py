@@ -1,5 +1,7 @@
 """Construction, validation and text round-trips of the normal matrices."""
 
+import random
+
 import pytest
 from hypothesis import given
 
@@ -16,7 +18,7 @@ from charquasi import (
     parse_matrix,
 )
 
-from conftest import int_matrices
+from conftest import int_matrices, random_chain_d
 
 
 class TestIntMatrix:
@@ -69,7 +71,7 @@ class TestIntMatrix:
 class TestDeformSpec:
     def test_valid_chain(self):
         spec = DeformSpec(3, (6, 3, 1))
-        assert spec.t == 3 and spec.r is None
+        assert spec.t == 3 and spec.r == 1
 
     def test_chain_violation(self):
         with pytest.raises(InvalidChain):
@@ -98,6 +100,27 @@ class TestDeformSpec:
     def test_r_out_of_range(self):
         with pytest.raises(ValueError):
             DeformSpec(2, (2,), 2)
+
+    def test_r_is_the_number_of_even_entries(self):
+        assert DeformSpec(4, (6, 3, 1)).r == 1
+        assert DeformSpec(3).r == 0
+        assert DeformSpec(3, (12, 6, 3)).r == 2
+        assert DeformSpec(2, (4, 2)).r == 2
+
+    def test_wrong_r_names_r_and_the_count(self):
+        with pytest.raises(InvalidParity) as exc:
+            DeformSpec(4, (6, 3, 1), 2)
+        assert str(exc.value) == (
+            "r must be the number of even entries of s, 1; got r = 2"
+        )
+
+    def test_random_chains_keep_their_split(self):
+        # random_chain_d builds s from its r; the spec recounts the same r.
+        rng = random.Random(17)
+        for _ in range(200):
+            s, r = random_chain_d(rng)
+            assert DeformSpec(len(s), s).r == r
+            assert DeformSpec(len(s), s, r) == DeformSpec(len(s), s)
 
 
 class TestGenCoxeter:
@@ -162,8 +185,10 @@ class TestGenDeform:
         assert mat.entries == ((2, 0, 1, 1), (0, 1, -1, 1))
 
     def test_d_deform_needs_r(self):
-        with pytest.raises(InvalidParity):
-            gen_deform_d(DeformSpec(2, (2, 1)))
+        # Type D needs the parity split r, and DeformSpec works it out from s.
+        spec = DeformSpec(2, (2, 1))
+        assert spec.r == 1 and spec == DeformSpec(2, (2, 1), 1)
+        assert gen_deform_d(spec).entries == ((2, 0, 1, 1), (0, 1, -1, 1))
 
     def test_d_deform_needs_m2(self):
         with pytest.raises(ValueError, match="needs m >= 2"):

@@ -13,7 +13,6 @@ import pytest
 from charquasi import (
     DeformSpec,
     EmptyArrangement,
-    InvalidParity,
     InvalidResidue,
     Polynomial,
     brute_force_count,
@@ -294,8 +293,11 @@ class TestChiDeformD:
         assert chi_deform_d(spec, 3) == chi_deform_d(spec, 1)
 
     def test_needs_r(self):
-        with pytest.raises(InvalidParity):
-            chi_deform_d(DeformSpec(2, (2, 1)), 1)
+        # The even classes read r, which DeformSpec works out from s.
+        for k in (1, 2):
+            assert chi_deform_d(DeformSpec(2, (2, 1)), k) == chi_deform_d(
+                DeformSpec(2, (2, 1), 1), k
+            )
 
     def test_needs_m2(self):
         with pytest.raises(ValueError, match="needs m >= 2"):
@@ -372,8 +374,11 @@ class TestChiDeformDTm:
             assert chi_deform_d_tm(spec, k) == chi_deform_d(spec, k), (spec, k)
 
     def test_needs_r(self):
-        with pytest.raises(InvalidParity):
-            chi_deform_d_tm(DeformSpec(2, (2, 1)), 1)
+        # The oracle reads r too, and gets the one DeformSpec works out.
+        for k in (1, 2):
+            assert chi_deform_d_tm(DeformSpec(2, (2, 1)), k) == chi_deform_d(
+                DeformSpec(2, (2, 1), 1), k
+            )
 
 
 # Specs that are not arrangements of the family, and the error each names.
@@ -381,7 +386,7 @@ NOT_ARRANGEMENTS = [
     ("Ddeform", DeformSpec(1, (), 0), EmptyArrangement),
     ("Ddeform", DeformSpec(1, (3,), 0), ValueError),
     ("Adeform", DeformSpec(1), EmptyArrangement),
-    ("Ddeform", DeformSpec(2, (2, 1)), InvalidParity),
+    ("Ddeform", DeformSpec(1, (2,)), ValueError),
     ("Bdeform", DeformSpec(2, (2,)), ValueError),
 ]
 

@@ -40,7 +40,7 @@ from charquasi import counting
 from charquasi.counting import _TABLE_BITS, _newton_integer_poly
 from charquasi.intlinalg import _lattice_table
 
-from conftest import EDGE_MATRICES, int_matrices
+from conftest import EDGE_MATRICES, count_calls, int_matrices
 
 
 def _plain_count(mat: IntMatrix, q: int) -> int:
@@ -293,6 +293,24 @@ class TestBruteForce:
             mp.setattr(counting, "_TABLE_BITS", table_bits)
             for m in range(1, 6):
                 assert brute_force_count(_mixed_matrix(m), 1) == 0, m
+
+    @pytest.mark.parametrize(
+        "family, m, q, built",
+        [
+            ("B", 4, 80, {"_column_table": 21}),  # k = 3: 2 * 80^3 <= 2^20
+            ("B", 4, 90, {"_column_table": 9}),  # k = 2: 2 * 90^3 > 2^20
+            ("B", 2, 257, {"_Progression": 4}),  # k = 1: one progression per column
+        ],
+    )
+    def test_layout_work_counts(self, monkeypatch, family, m, q, built):
+        # The tables and progressions a call builds pin its block layout on
+        # both sides of a change of k; a wider or narrower threshold keeps
+        # every count right but moves these.
+        calls = count_calls(monkeypatch, counting, "_column_table", "_Progression")
+        assert brute_force_count(gen_coxeter(family, m), q) == chi_coxeter(
+            family, m
+        ).constituent(q)(q)
+        assert dict(calls) == built
 
     def test_point_budget_is_the_only_limit_on_q(self):
         mat = IntMatrix(((1,),))

@@ -24,7 +24,6 @@ from charquasi import (
     ElementaryDivisors,
     IndexOutOfRange,
     IntMatrix,
-    InvalidParity,
     PeriodResult,
     TooManyColumns,
     column_submatrix,
@@ -35,9 +34,10 @@ from charquasi import (
     lcm_period,
     smith_divisors,
 )
+from charquasi import intlinalg
 from charquasi.intlinalg import _chain_fix, _lattice_table, _span
 
-from conftest import EDGE_MATRICES, int_matrices
+from conftest import EDGE_MATRICES, count_calls, int_matrices
 
 
 def _det(rows):
@@ -370,6 +370,22 @@ class TestLcmPeriod:
             assert exact % lcm_period(mat, cap).value == 0
 
 
+class TestPeriodWork:
+    # (_hnf_add, _minors_gcd, _basis_divisors) calls of one lcm_period walk
+    # capped at the rank.  A change that moves a count on purpose updates
+    # the pin; one that drops the _minors_gcd skip, say, keeps every period
+    # right but raises the other two counts.
+    @pytest.mark.parametrize(
+        "family, m, work",
+        [("D", 5, (2436, 661, 11)), ("D", 6, (24067, 4113, 41)), ("B", 5, (5546, 2621, 26))],
+    )
+    def test_work_counts(self, monkeypatch, family, m, work):
+        names = ("_hnf_add", "_minors_gcd", "_basis_divisors")
+        calls = count_calls(monkeypatch, intlinalg, *names)
+        assert lcm_period(gen_coxeter(family, m), m) == PeriodResult(2, True)
+        assert tuple(calls[name] for name in names) == work
+
+
 class TestKnownPeriod:
     def test_a_deform(self):
         assert known_period(DeformSpec(3, (6, 3)), "Adeform") == 6
@@ -381,8 +397,9 @@ class TestKnownPeriod:
         assert known_period(DeformSpec(2, (), 0), "Ddeform") == 2
 
     def test_d_deform_needs_r(self):
-        with pytest.raises(InvalidParity):
-            known_period(DeformSpec(2, (3,)), "Ddeform")
+        # r is worked out from s, so a type-D spec needs no explicit r.
+        assert known_period(DeformSpec(2, (3,)), "Ddeform") == 6
+        assert known_period(DeformSpec(4, (6, 3, 1)), "Ddeform") == 6
 
     def test_unknown_family(self):
         with pytest.raises(ValueError):
