@@ -194,18 +194,21 @@ def brute_force_count(mat: IntMatrix, q: int, budget: int = DEFAULT_POINT_BUDGET
     exact.  The last k coordinates form a block whose points are the bits
     of one Python int; the top block coordinate may be cut into slices.
     Column j has masks G_j[c]: the block points whose partial residue is c.
-    A prefix point with residues p_j rules out G_j[-p_j] for every j, so it
-    leaves the block size minus the popcount of their union; every point is
-    still decided one by one.
+    A point lies on hyperplane j when its block residue is minus its prefix
+    residue, so the prefix rows (and the slice step) are negated once: the
+    residue r_j a prefix point then gives column j is the index of the
+    mask it rules out, G_j[r_j].  The point leaves the block size minus the
+    popcount of the union of those masks; every point is still decided one
+    by one.
 
     Memory is bounded whatever q^m is, by the one width _TABLE_BITS =
     2^20.  For k >= 2 (m >= 3 and q <= 724), a column's table of q masks
     holds at most 2^20 bits, and the tables of its lower coordinates at
-    most as much again: 256 KiB per column at most, shared by columns with
-    equal or negated block entries.  A one-coordinate block (k = 1) builds
-    no table: it is cut into slices of at most 2^20 points, and its masks
-    are progressions made per prefix point and slice.  Each slice is worked
-    out when it is reached; none is stored.
+    most as much again: at most 2^21 bits, 256 KiB, per distinct column of
+    the block.  A one-coordinate block (k = 1) builds no table: it is cut
+    into slices of at most 2^20 points, and its masks are progressions made
+    per prefix point and slice.  Each slice is worked out when it is
+    reached; none is stored.
 
     Raises BudgetExceeded when q^m exceeds the point budget, its only
     limit.  q = 1 gives 0 on every layout: every residue is 0 mod 1, so
@@ -233,27 +236,17 @@ def brute_force_count(mat: IntMatrix, q: int, budget: int = DEFAULT_POINT_BUDGET
     if k == 1:
         looks = [_Progression(s, q, top) for s in block[0]]
     else:
-        # looks[j][p] = G_j[-p]; G_{-s}[c] = G_s[-c], so a negated column
-        # reads its partner's table in the other direction.
         tables: dict[tuple[int, ...], list[int]] = {}
-        looks = []
-        for col in zip(*block):
-            neg = tuple(-v % q for v in col)
-            if neg in tables:
-                looks.append(tables[neg])
-                continue
-            if col not in tables:
-                tables[col] = _column_table(col, q, top, tables)
-            table = tables[col]
-            looks.append([table[-p % q] for p in range(q)])
+        looks = [_column_table(col, q, top, tables) for col in zip(*block)]
     # The top coordinate runs in slices of top values, and only the last
     # may be short (shapes[1]); each further slice adds top * s_top to every
-    # residue.
+    # block residue, so it takes as much off every negated prefix residue.
     width = q ** (k - 1)
     shapes = [(size, (1 << size) - 1) for size in (top * width, q % top * width)]
-    step = [top * s % q for s in block[0]]
+    step = [-top * s % q for s in block[0]]
+    prefix = [[-v % q for v in row] for row in rows[: m - k]]
     count = 0
-    for res in _prefix_residues(rows[: m - k], q, n):
+    for res in _prefix_residues(prefix, q, n):
         for lo in range(0, q, top):
             if lo:
                 res = [(a + b) % q for a, b in zip(res, step)]
@@ -284,7 +277,7 @@ def _tile(pattern: int, width: int, total: int) -> int:
 
 
 class _Progression:
-    """Masks G[-p] of a one-coordinate block [0, size), made on demand.
+    """Masks G[c] of a one-coordinate block [0, size), made on demand.
 
     s * t = c (mod q) holds exactly on the progression x0 + span * i,
     span = q / gcd(s, q), when gcd(s, q) divides c, so no q x q table is
@@ -294,14 +287,13 @@ class _Progression:
     """
 
     def __init__(self, s: int, q: int, size: int):
-        self.q, self.g = q, math.gcd(s, q)
+        self.g = math.gcd(s, q)
         self.span = q // self.g
         self.inverse = pow(s // self.g, -1, self.span)
         self.size = size
         self.comb = _tile(1, self.span, size)
 
-    def __getitem__(self, p: int) -> int:
-        c = -p % self.q
+    def __getitem__(self, c: int) -> int:
         if c % self.g:
             return 0
         x0 = c // self.g * self.inverse % self.span
@@ -314,19 +306,22 @@ def _column_table(
     """G[c] for c in Z/q: the block points whose partial residue is c.
 
     The block spans coefficients coeffs, the first coordinate taking only
-    the values 0..top-1.  It is the block of coeffs[1:] (built through
-    tables, where columns share it) joined as the new most significant
-    digit y, block size B -> top * B: block y of G[c] is G_old[c - y * s],
-    so block y + 1 of G[c] is block y of G[c - s].  One start per coset of
-    <s> is built directly (its q / gcd(s, q) blocks tiled), the rest of the
-    coset by that shift: O(q) big-integer operations per coordinate.
+    the values 0..top-1.  It is the block of coeffs[1:] (read from tables,
+    where columns share it) joined as the new most significant digit y,
+    block size B -> top * B: block y of G[c] is G_old[c - y * s], so block
+    y + 1 of G[c] is block y of G[c - s].  One start per coset of <s> is
+    built directly (its q / gcd(s, q) blocks tiled), the rest of the coset
+    by that shift: O(q) big-integer operations per coordinate.  Each table
+    is kept in tables under its coeffs and built only once per call of
+    brute_force_count; one call uses one top, and only its k-coordinate
+    columns take it, so no key is built with two tops.
     """
+    if coeffs in tables:
+        return tables[coeffs]
     if not coeffs:
         return [1] + [0] * (q - 1)
     s, rest = coeffs[0], coeffs[1:]
-    if rest not in tables:
-        tables[rest] = _column_table(rest, q, q, tables)
-    table, size = tables[rest], q ** len(rest)
+    table, size = _column_table(rest, q, q, tables), q ** len(rest)
     g = math.gcd(s, q)
     span = q // g
     full = (1 << top * size) - 1
@@ -341,6 +336,7 @@ def _column_table(
             nxt = (c + s) % q
             new[nxt] = table[nxt] | ((new[c] << size) & full)
             c = nxt
+    tables[coeffs] = new
     return new
 
 

@@ -14,7 +14,7 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from charquasi import (
@@ -110,6 +110,36 @@ def _block_split_cases(draw):
     if draw(st.integers(0, 3)) == 0:
         cols.append([q * v for v in draw(st.sampled_from(cols))])
     return table_bits, IntMatrix.from_columns(cols), q
+
+
+def _sign_examples(test):
+    """Add fixed cases for the sign of the kernel's mask lookup to a test.
+
+    A column next to its negation, and columns whose prefix entries are
+    all 0 mod q, at k = 1, 2 and 3 block coordinates, each with a whole
+    and a sliced top coordinate.  A wrong sign shows on a whole top only
+    for a negated column read through its partner's mask; on a sliced one
+    it reads the block shifted by minus the slice start, which the count
+    sees when the slices miss residues of another gcd with q, as the short
+    last slices here do.
+    """
+    layouts = [
+        # (table_bits, m, q, k): top = q, then top < q.
+        (_TABLE_BITS, 2, 8, 1), (3, 2, 8, 1),  # slices 3, 3, 2
+        (2**7, 3, 4, 2), (2**10, 3, 12, 2),  # slices 7, 5
+        (2**9, 4, 4, 3), (2**10, 4, 6, 3),  # slices 4, 2
+    ]
+    for table_bits, m, q, k in layouts:
+        a = (3, 1, -2, 2)[:m]
+        negated = [a, tuple(-v for v in a), (1,) * m]
+        zero_prefix = [
+            (q,) * (m - k) + (2, -1, 0)[:k],
+            (0,) * (m - k) + (2, 1, 3)[:k],
+            (1, 0, 3, 1)[:m],
+        ]
+        for cols in (negated, zero_prefix):
+            test = example((table_bits, IntMatrix.from_columns(cols), q))(test)
+    return test
 
 
 def _every_divisor_minimum(qp: QuasiPolynomial) -> bool:
@@ -297,15 +327,16 @@ class TestBruteForce:
     @pytest.mark.parametrize(
         "family, m, q, built",
         [
-            ("B", 4, 80, {"_column_table": 21}),  # k = 3: 2 * 80^3 <= 2^20
-            ("B", 4, 90, {"_column_table": 9}),  # k = 2: 2 * 90^3 > 2^20
+            ("B", 4, 80, {"_column_table": 39}),  # k = 3: 2 * 80^3 <= 2^20
+            ("B", 4, 90, {"_column_table": 26}),  # k = 2: 2 * 90^3 > 2^20
             ("B", 2, 257, {"_Progression": 4}),  # k = 1: one progression per column
         ],
     )
     def test_layout_work_counts(self, monkeypatch, family, m, q, built):
-        # The tables and progressions a call builds pin its block layout on
-        # both sides of a change of k; a wider or narrower threshold keeps
-        # every count right but moves these.
+        # The _column_table calls (one per block column, and one per table
+        # built, for the level below it) and progressions of a call pin its
+        # block layout on both sides of a change of k; a wider or narrower
+        # threshold keeps every count right but moves these.
         calls = count_calls(monkeypatch, counting, "_column_table", "_Progression")
         assert brute_force_count(gen_coxeter(family, m), q) == chi_coxeter(
             family, m
@@ -357,6 +388,7 @@ class TestBruteForce:
             if q**mat.rows <= 257**2:
                 assert _plain_count(mat, q) == want, q
 
+    @_sign_examples
     @given(_block_split_cases())
     @settings(max_examples=150, deadline=None)
     def test_block_splits_match_plain_loop(self, case):

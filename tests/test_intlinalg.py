@@ -385,6 +385,17 @@ class TestPeriodWork:
         assert lcm_period(gen_coxeter(family, m), m) == PeriodResult(2, True)
         assert tuple(calls[name] for name in names) == work
 
+    @pytest.mark.parametrize("family, m, work", [("D", 5, (3067, 428)), ("B", 4, (957, 164))])
+    def test_table_work_counts(self, monkeypatch, family, m, work):
+        # (_hnf_add, _basis_divisors) calls of one lattice-table build: a
+        # table that costs more keeps every count right, and no timing here
+        # resolves it.
+        names = ("_hnf_add", "_basis_divisors")
+        calls = count_calls(monkeypatch, intlinalg, *names)
+        _lattice_table.cache_clear()
+        _lattice_table(gen_coxeter(family, m))
+        assert tuple(calls[name] for name in names) == work
+
 
 class TestKnownPeriod:
     def test_a_deform(self):
