@@ -47,7 +47,9 @@ class Polynomial(_Value):
     """Integer-coefficient polynomial; coeffs[i] multiplies q^i.
 
     Trailing zero coefficients are stripped, so the zero polynomial has
-    coeffs == () and degree -1.
+    coeffs == () and degree -1.  It supports + and * (with an int on either
+    side), evaluation and text; nothing in the package subtracts, so there
+    is no subtraction.
     """
 
     __slots__ = ("coeffs",)
@@ -97,19 +99,6 @@ class Polynomial(_Value):
         return Polynomial(tuple(merged))
 
     __radd__ = __add__
-
-    def __neg__(self) -> "Polynomial":
-        return Polynomial(tuple(-c for c in self.coeffs))
-
-    def __sub__(self, other) -> "Polynomial":
-        if isinstance(other, int):
-            other = Polynomial((other,))
-        if not isinstance(other, Polynomial):
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other) -> "Polynomial":
-        return (-self) + other
 
     def __mul__(self, other) -> "Polynomial":
         if isinstance(other, int):

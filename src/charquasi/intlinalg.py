@@ -54,7 +54,7 @@ from functools import lru_cache, reduce
 from typing import Iterable, NamedTuple, Sequence
 
 from .arrangements import IntMatrix, _Value
-# Bound here as well because bench/tracing.py looks known_period up in this module.
+# Kept because TRACED in bench/tracing.py looks known_period up in this module.
 from .arrangements import known_period
 from .errors import IndexOutOfRange, TooManyColumns
 
@@ -63,7 +63,10 @@ FULL_ENUMERATION_LIMIT = 24
 
 
 class ElementaryDivisors(_Value):
-    """Positive elementary divisors e_1 | e_2 | ... | e_rank of a matrix."""
+    """Positive elementary divisors e_1 | e_2 | ... | e_rank of a matrix.
+
+    Kept because bench/inputs.py:naive_period reads smith_divisors(...).divisors.
+    """
 
     __slots__ = ("divisors",)
 
@@ -75,10 +78,6 @@ class ElementaryDivisors(_Value):
             if b % a:
                 raise ValueError("elementary divisors must form a chain")
         object.__setattr__(self, "divisors", divs)
-
-    @property
-    def rank(self) -> int:
-        return len(self.divisors)
 
 
 class PeriodResult(NamedTuple):
@@ -93,8 +92,12 @@ def _chain_fix(diag: Iterable[int]) -> list[int]:
 
     Each pairwise replacement (a, b) -> (gcd, lcm) preserves equivalence;
     once every entry divides all later ones the list is the divisor chain.
+    Any input order gives the same chain, so there is no sort: pass i
+    leaves d[i] dividing every later entry (d[i] only drops to divisors of
+    itself, so it keeps dividing the entries already passed), and the
+    divisor chain of a matrix is unique.
     """
-    d = sorted(diag)
+    d = list(diag)
     for i in range(len(d)):
         for j in range(i + 1, len(d)):
             if d[j] % d[i]:
@@ -104,7 +107,10 @@ def _chain_fix(diag: Iterable[int]) -> list[int]:
 
 
 def smith_divisors(mat: IntMatrix) -> ElementaryDivisors:
-    """Elementary divisors e_1 | ... | e_rank of an integer matrix."""
+    """Elementary divisors e_1 | ... | e_rank of an integer matrix.
+
+    Kept because bench/inputs.py:naive_period and smith_divisors_us call it.
+    """
     return ElementaryDivisors(_basis_divisors(_span(mat.rows, mat.columns())))
 
 
@@ -112,7 +118,7 @@ def column_submatrix(mat: IntMatrix, indices: Iterable[int]) -> IntMatrix:
     """Submatrix of the 1-based columns J, in increasing index order.
 
     Raises IndexOutOfRange when an index falls outside 1..n and ValueError
-    for an empty index set.
+    for an empty index set.  Kept because bench/inputs.py:naive_period calls it.
     """
     J = sorted({operator.index(j) for j in indices})
     if not J:

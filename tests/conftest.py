@@ -16,6 +16,7 @@ from __future__ import annotations
 import math
 import os
 import random
+import warnings
 from collections import Counter
 from pathlib import Path
 
@@ -23,6 +24,18 @@ from hypothesis import strategies as st
 
 import charquasi
 from charquasi import IntMatrix
+
+# When a @given test fails, hypothesis's pytest plugin imports this module
+# (and libcst) to suggest a patch.  Under filterwarnings = ["error"] a
+# DeprecationWarning raised by that import ends the run in INTERNALERROR,
+# without a FAILED line and before the later tests run; importing it here
+# once, with the warning ignored, leaves the plugin nothing to import.
+with warnings.catch_warnings():
+    warnings.simplefilter("ignore", DeprecationWarning)
+    try:
+        import hypothesis.extra._patching  # noqa: F401
+    except ImportError:  # libcst is not installed
+        pass
 
 
 def child_env() -> dict[str, str]:

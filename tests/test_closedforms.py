@@ -31,7 +31,10 @@ from charquasi import (
     lcm_period,
     verify_minimum_period,
 )
+from charquasi import closedforms
 from charquasi.closedforms import _even_constituent_d
+
+from conftest import count_calls
 
 
 def overcount_even_constituent_d(m: int, r: int, t: int, d) -> Polynomial:
@@ -414,6 +417,14 @@ def test_every_route_refuses_a_non_arrangement_alike(family, spec, error):
 
 
 class TestStructuralInvariants:
+    def test_deform_quasi_evaluates_each_divisor_once(self, monkeypatch):
+        # Constituents depend only on gcd(k, rho): one formula call per
+        # divisor of rho = 12, where one per k would make 12.
+        calls = count_calls(monkeypatch, closedforms, "chi_deform")
+        qp = deform_quasi("Adeform", DeformSpec(3, (12, 6)))
+        assert qp.period == 12
+        assert calls["chi_deform"] == 6
+
     @pytest.mark.parametrize(
         "spec",
         [

@@ -185,10 +185,15 @@ class TestPolynomial:
         q = Polynomial((-1, 1))
         assert p * q == Polynomial((-1, 0, 1))
         assert p + q == Polynomial((0, 2))
-        assert p - q == Polynomial((2,))
         assert 3 * p == Polynomial((3, 3))
         assert p + 1 == Polynomial((2, 1))
-        assert 1 - q == Polynomial((2, -1))
+        assert 1 + p == Polynomial((2, 1))
+
+    def test_no_subtraction(self):
+        p = Polynomial((1, 1))
+        for subtract in (lambda: p - p, lambda: p - 1, lambda: 1 - p, lambda: -p):
+            with pytest.raises(TypeError):
+                subtract()
 
     def test_evaluation(self):
         assert Polynomial((3, -4, 1))(5) == 8
@@ -553,6 +558,20 @@ class TestInterpolation:
                 _newton_integer_poly(xs, ys)
         else:
             assert _newton_integer_poly(xs, ys) == want
+
+    @given(int_matrices(max_rows=3, max_cols=5, max_abs=4))
+    @settings(max_examples=40, deadline=None)
+    def test_random_arrangement_theorems(self, mat):
+        # Each residue class is fitted on its own, so these are checks of
+        # Kamiya-Takemura-Terao's gcd property and of "lcm period = minimum
+        # period" (Higashitani-Tran-Yoshinaga); a too-small lcm_period
+        # fails the fit, a too-large one the minimality.
+        m, rho = mat.rows, lcm_period(mat).value
+        assume(((m + 1) * rho) ** m <= 10**5)
+        qp = interpolate_quasi(mat, rho, budget=10**5)
+        assert check_gcd_property(qp)
+        assert verify_minimum_period(qp)
+        assert all(p.is_monic and p.degree == m for p in qp.constituents)
 
     @pytest.mark.parametrize(
         "mat, rho",

@@ -9,9 +9,13 @@ compared entry for entry with _lattice_table_ref, built from a plain
 Hermite-form routine that reduces every row on every call, and the two
 engines are tied together by "lcm period = minimum period": the lcm of the
 last divisors over the table's nonzero-count lattices is the lcm period.
+Two changes of a matrix that leave its arrangement's count known need no
+oracle at all: a column c next to a multiple k*c adds nothing, and a zero
+row multiplies every count by q; in both the lcm period stays put.
 """
 
 import math
+import random
 from functools import reduce
 from itertools import combinations
 
@@ -26,6 +30,7 @@ from charquasi import (
     IntMatrix,
     PeriodResult,
     TooManyColumns,
+    brute_force_count,
     column_submatrix,
     gen_coxeter,
     gen_deform_a,
@@ -33,11 +38,12 @@ from charquasi import (
     known_period,
     lcm_period,
     smith_divisors,
+    snf_count,
 )
 from charquasi import intlinalg
 from charquasi.intlinalg import _chain_fix, _lattice_table, _span
 
-from conftest import EDGE_MATRICES, count_calls, int_matrices
+from conftest import EDGE_MATRICES, count_calls, int_matrices, nonzero_column
 
 
 def _det(rows):
@@ -153,9 +159,6 @@ class TestLatticeTableReference:
 
 
 class TestElementaryDivisors:
-    def test_rank(self):
-        assert ElementaryDivisors((1, 2, 6)).rank == 3
-
     def test_rejects_broken_chain(self):
         with pytest.raises(ValueError):
             ElementaryDivisors((2, 3))
@@ -328,7 +331,7 @@ class TestLcmPeriod:
     @staticmethod
     def _check_every_cap(mat):
         assert lcm_period(mat) == PeriodResult(_naive_lcm_period(mat), True)
-        rank = smith_divisors(mat).rank
+        rank = len(smith_divisors(mat).divisors)
         for cap in range(1, mat.cols + 2):
             want = PeriodResult(_naive_lcm_period(mat, cap), cap >= rank)
             assert lcm_period(mat, cap) == want
@@ -370,6 +373,37 @@ class TestLcmPeriod:
             assert exact % lcm_period(mat, cap).value == 0
 
 
+class TestMetamorphic:
+    @given(
+        int_matrices(max_rows=4, max_cols=5, max_abs=4),
+        st.data(),
+        st.sampled_from([2, 3, -2, 5]),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_divisor_column_changes_nothing(self, mat, data, k):
+        # x . kc != 0 (mod q) implies x . c != 0, so appending c next to kc
+        # keeps every count, and so (lcm period = minimum period) the lcm
+        # period, although the subsets with c bring new divisors.
+        cols = list(mat.columns())
+        j = data.draw(st.integers(0, len(cols) - 1))
+        c = cols[j]
+        cols[j] = tuple(k * v for v in c)
+        base = IntMatrix.from_columns(cols)
+        grown = IntMatrix.from_columns([*cols, c])
+        assert lcm_period(grown) == lcm_period(base)
+        for q in range(1, 16):
+            assert snf_count(grown, q) == snf_count(base, q)
+
+    @given(int_matrices(max_rows=3, max_cols=5, max_abs=4))
+    @settings(max_examples=40, deadline=None)
+    def test_zero_row_multiplies_counts_by_q(self, mat):
+        lifted = IntMatrix((*mat.entries, (0,) * mat.cols))
+        assert lcm_period(lifted) == lcm_period(mat)
+        for q in range(1, 8):
+            assert snf_count(lifted, q) == q * snf_count(mat, q)
+            assert brute_force_count(lifted, q) == q * brute_force_count(mat, q)
+
+
 class TestPeriodWork:
     # (_hnf_add, _minors_gcd, _basis_divisors) calls of one lcm_period walk
     # capped at the rank.  A change that moves a count on purpose updates
@@ -395,6 +429,19 @@ class TestPeriodWork:
         _lattice_table.cache_clear()
         _lattice_table(gen_coxeter(family, m))
         assert tuple(calls[name] for name in names) == work
+
+    def test_column_round_table_work_counts(self, monkeypatch):
+        # The B4 and D5 tables above never run a column round (_span inside
+        # _basis_divisors); this seeded 4x13 table runs 512.  Splitting off
+        # the unit pivots first keeps every entry of it but saves _hnf_add
+        # calls: 4482 without the split.
+        rng = random.Random(1)
+        mat = IntMatrix.from_columns([nonzero_column(rng, 4, -3, 3) for _ in range(13)])
+        names = ("_hnf_add", "_span", "_basis_divisors")
+        calls = count_calls(monkeypatch, intlinalg, *names)
+        _lattice_table.cache_clear()
+        _lattice_table(mat)
+        assert tuple(calls[name] for name in names) == (3805, 513, 1056)
 
 
 class TestKnownPeriod:
