@@ -47,7 +47,7 @@ from .errors import CharQuasiError
 
 def _parse_s(text: str) -> tuple[int, ...]:
     try:
-        return tuple(int(tok) for tok in text.split(",") if tok.strip())
+        return tuple(int(tok) for tok in text.split(",")) if text.strip() else ()
     except ValueError:
         raise argparse.ArgumentTypeError(
             f"--s expects comma-separated integers, got {text!r}"
@@ -151,12 +151,7 @@ def cmd_quasi(args: argparse.Namespace) -> int:
             qp = interpolate_quasi(gen_deform(family, spec), known_period(spec, family))
     else:
         raise ValueError("need a matrix file or --family")
-    # Closed forms repeat few distinct constituent objects; format each once.
-    distinct = {id(p): p for p in qp.constituents}
-    text = {key: str(p) for key, p in distinct.items()}
-    lines = [f"period {qp.period}"]
-    lines += (f"k={k}: {text[id(p)]}" for k, p in enumerate(qp.constituents, 1))
-    sys.stdout.write("\n".join(lines) + "\n")
+    sys.stdout.write(str(qp))
     return 0
 
 

@@ -11,7 +11,9 @@ Residue-class indices k are reduced through the gcd property: constituents
 of a quasi-polynomial with minimum period rho agree whenever the indices
 share a gcd with rho, so any positive k is mapped to k' = gcd(rho, k) (with
 k' = rho covering the class q = 0 mod rho).  This also makes the deformation
-formulas directly evaluable at raw moduli q.
+formulas directly evaluable at raw moduli q.  The index is checked as
+QuasiPolynomial checks it: anything but a positive integer raises
+InvalidResidue.
 
 One pitfall is documented here because it is easy to reintroduce: in the
 even-residue type-D formula the correction sum's first inner product runs
@@ -25,23 +27,10 @@ disagreement; the library holds only the formula it evaluates.
 from __future__ import annotations
 
 import math
-import operator
 from typing import Sequence
 
 from .arrangements import DeformSpec, coxeter_spec, known_period
-from .counting import Polynomial, QuasiPolynomial
-from .errors import InvalidResidue
-
-
-def _reduce_residue(k: int, rho: int) -> int:
-    """Map any positive k to its gcd-equivalent residue index in 1..rho."""
-    try:
-        k = operator.index(k)
-    except TypeError:
-        raise InvalidResidue(f"residue index must be an integer, got {k!r}") from None
-    if k < 1:
-        raise InvalidResidue(f"residue index must be >= 1, got {k}")
-    return math.gcd(k, rho)
+from .counting import Polynomial, QuasiPolynomial, _residue_index
 
 
 def chi_coxeter(family: str, m: int) -> QuasiPolynomial:
@@ -84,7 +73,7 @@ def chi_deform_a(spec: DeformSpec, k: int) -> Polynomial:
     with d_i = gcd(k', s_i) after gcd-reduction of k.  The parity field r
     is ignored.
     """
-    kp = _reduce_residue(k, known_period(spec, "Adeform"))
+    kp = math.gcd(known_period(spec, "Adeform"), _residue_index(k))
     roots = [math.gcd(kp, v) + i for i, v in enumerate(spec.s)]
     roots += range(spec.t, spec.m)
     return Polynomial.from_roots(roots)
@@ -133,7 +122,7 @@ def chi_deform_d(spec: DeformSpec, k: int) -> Polynomial:
     r even entries of s (spec.r, worked out from s), and the correction sum
     starts at j = r + 1 (see the module docstring for the wrong variant).
     """
-    kp = _reduce_residue(k, known_period(spec, "Ddeform"))
+    kp = math.gcd(known_period(spec, "Ddeform"), _residue_index(k))
     d = [math.gcd(kp, v) for v in spec.s]
     if kp % 2:
         return _odd_constituent_d(spec.m, spec.t, d)

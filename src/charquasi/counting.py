@@ -37,7 +37,7 @@ from functools import reduce
 from typing import Iterable
 
 from .arrangements import IntMatrix, _Value
-from .errors import BudgetExceeded, NotIntegral, NotMonic
+from .errors import BudgetExceeded, InvalidResidue, NotIntegral, NotMonic
 
 DEFAULT_POINT_BUDGET = 10**8
 _TABLE_BITS = 1 << 20
@@ -141,7 +141,9 @@ class QuasiPolynomial(_Value):
     """One monic degree-m constituent per residue class modulo the period.
 
     constituents[k-1] applies to q = k (mod period), where the residue index
-    runs over 1..period and index period covers q = 0 (mod period).
+    runs over 1..period and index period covers q = 0 (mod period).  A
+    residue index is any positive integer; anything else raises
+    InvalidResidue.  str() gives the listing that `charquasi quasi` prints.
     """
 
     __slots__ = ("period", "constituents")
@@ -156,7 +158,8 @@ class QuasiPolynomial(_Value):
                 f"need exactly {period} constituents, got {len(constituents)}"
             )
         # Closed forms hand rho references to the few constituents of the
-        # divisors of rho; values are immutable, so each object is checked once.
+        # divisors of rho; values are immutable, so each object is checked
+        # once here and formatted once by __str__.
         distinct = {id(p): p for p in constituents}.values()
         if len({p.degree for p in distinct}) != 1:
             raise ValueError("constituents must share one degree")
@@ -167,13 +170,29 @@ class QuasiPolynomial(_Value):
 
     def constituent(self, k: int) -> Polynomial:
         """Constituent of the residue class of k (any positive integer)."""
-        k = operator.index(k)
-        if k < 1:
-            raise ValueError("residue index must be >= 1")
-        return self.constituents[(k - 1) % self.period]
+        return self.constituents[(_residue_index(k) - 1) % self.period]
 
     def __call__(self, q: int) -> int:
         return self.constituent(q)(q)
+
+    def __str__(self) -> str:
+        """The listing: 'period <rho>', then 'k=<k>: <constituent>' per class."""
+        distinct = {id(p): p for p in self.constituents}
+        text = {key: str(p) for key, p in distinct.items()}
+        lines = [f"period {self.period}"]
+        lines += (f"k={k}: {text[id(p)]}" for k, p in enumerate(self.constituents, 1))
+        return "\n".join(lines) + "\n"
+
+
+def _residue_index(k: int) -> int:
+    """k as a residue-class index: a positive integer, else InvalidResidue."""
+    try:
+        k = operator.index(k)
+    except TypeError:
+        raise InvalidResidue(f"residue index must be an integer, got {k!r}") from None
+    if k < 1:
+        raise InvalidResidue(f"residue index must be >= 1, got {k}")
+    return k
 
 
 def brute_force_count(mat: IntMatrix, q: int, budget: int = DEFAULT_POINT_BUDGET) -> int:
@@ -387,11 +406,9 @@ def interpolate_quasi(
     within budget) and interpolated exactly.  q = 1 is a valid sample of
     class 1: its constituent sum_J (-1)^|J| q^(m - rank J) is 0 there,
     as is the count.  A wrong period surfaces as NotIntegral or NotMonic,
-    never as a silently wrong result.
+    never as a silently wrong result.  A period below 1 samples no class
+    and is refused by QuasiPolynomial.
     """
-    period = operator.index(period)
-    if period < 1:
-        raise ValueError("period must be >= 1")
     m = mat.rows
     constituents = []
     for k in range(1, period + 1):

@@ -58,5 +58,5 @@ class NotMonic(CharQuasiError):
     """Interpolation produced a constituent that is not monic of full degree."""
 
 
-class InvalidResidue(CharQuasiError):
+class InvalidResidue(CharQuasiError, ValueError):
     """A residue-class index is not a positive integer."""

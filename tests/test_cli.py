@@ -22,6 +22,7 @@ from charquasi import (
     chi_deform_d,
     format_matrix,
     gen_coxeter,
+    gen_deform,
     known_period,
 )
 from charquasi.cli import main
@@ -73,10 +74,16 @@ class TestGen:
         assert (code, err) == (2, "error: --family needs --m\n")
 
     def test_bad_s_list_exits_2(self, capsys):
-        with pytest.raises(SystemExit) as exc:
-            main(["gen", "--family", "Adeform", "--m", "2", "--s", "1,x"])
-        assert exc.value.code == 2
-        assert "--s expects comma-separated integers" in capsys.readouterr().err
+        # An empty item is refused, not dropped: 6,,3 is not s = (6, 3).
+        for bad in ("1,x", "6,,3", "6,3,"):
+            with pytest.raises(SystemExit) as exc:
+                main(["gen", "--family", "Adeform", "--m", "3", "--s", bad])
+            assert exc.value.code == 2
+            assert "--s expects comma-separated integers" in capsys.readouterr().err
+
+    def test_blank_s_means_t0(self, capsys):
+        code, out, _ = run_cli(capsys, "gen", "--family", "Adeform", "--m", "3", "--s", "")
+        assert (code, out) == (0, format_matrix(gen_deform("Adeform", DeformSpec(3))))
 
     def test_unknown_family_exits_2(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -284,6 +284,11 @@ class TestChiDeformD:
         assert chi_deform_d(spec, 1) == cox.constituent(1)
         assert chi_deform_d(spec, 2) == cox.constituent(2)
 
+    @pytest.mark.parametrize("bad", [0, 1.5])
+    def test_rejects_bad_residue(self, bad):
+        with pytest.raises(InvalidResidue):
+            chi_deform_d(DeformSpec(2, (2, 1), 1), bad)
+
     def test_parity_preserved_by_reduction(self):
         # The period is even, so gcd-reduction never flips parity of k.
         spec = DeformSpec(2, (2, 1), 1)

@@ -20,6 +20,7 @@ from hypothesis import strategies as st
 from charquasi import (
     BudgetExceeded,
     DeformSpec,
+    InvalidResidue,
     IntMatrix,
     NotIntegral,
     NotMonic,
@@ -195,6 +196,14 @@ class TestPolynomial:
             with pytest.raises(TypeError):
                 subtract()
 
+    def test_foreign_operands_raise_type_error(self):
+        # + and * return NotImplemented for anything but an int or a
+        # Polynomial, so Python raises TypeError on either side.
+        p = Polynomial((1, 1))
+        for combine in (lambda: p + "x", lambda: p * 1.5, lambda: 1.5 * p):
+            with pytest.raises(TypeError):
+                combine()
+
     def test_evaluation(self):
         assert Polynomial((3, -4, 1))(5) == 8
         assert Polynomial(())(7) == 0
@@ -261,8 +270,29 @@ class TestQuasiPolynomial:
             QuasiPolynomial(0, ())
 
     def test_rejects_bad_residue(self):
-        with pytest.raises(ValueError):
-            chi_coxeter("B", 2).constituent(0)
+        # The package's one residue-index check.  InvalidResidue is a
+        # ValueError, so callers catching ValueError keep working.
+        qp = chi_coxeter("B", 2)
+        for bad in (0, -3, 1.5, "1"):
+            with pytest.raises(InvalidResidue):
+                qp.constituent(bad)
+        assert issubclass(InvalidResidue, ValueError)
+
+    def test_str_is_the_listing(self, monkeypatch):
+        # Closed forms share one object among the classes of one gcd; the
+        # listing formats each distinct object once, and an equal value in
+        # another object once more.
+        text = Polynomial.__str__
+        odd, even = chi_coxeter("C", 2).constituents
+        copy = Polynomial(odd.coeffs)
+        formatted = []
+        monkeypatch.setattr(Polynomial, "__str__", lambda p: formatted.append(p) or text(p))
+        listing = str(QuasiPolynomial(5, (odd, even, odd, copy, copy)))
+        assert listing == (
+            "period 5\nk=1: q^2 - 4*q + 3\nk=2: q^2 - 6*q + 8\nk=3: q^2 - 4*q + 3\n"
+            "k=4: q^2 - 4*q + 3\nk=5: q^2 - 4*q + 3\n"
+        )
+        assert [id(p) for p in formatted] == [id(odd), id(even), id(copy)]
 
 
 class TestBruteForce:
@@ -347,6 +377,24 @@ class TestBruteForce:
             family, m
         ).constituent(q)(q)
         assert dict(calls) == built
+
+    def test_column_table_builds_one_coset_start_from_min_span_top_rows(self):
+        # Cost pin: s = 4, q = top = 12 gives g = 4 cosets of span 3.  Each
+        # start reads the lower table min(span, top) = 3 times and the rest
+        # of its coset span - 1 = 2 times: 4 * (3 + 2) = 20 reads.  A start
+        # built from all top rows reads it 4 * (12 + 2) = 56 times and
+        # still gives the same table.
+        class CountingList(list):
+            reads = 0
+
+            def __getitem__(self, i):
+                CountingList.reads += 1
+                return super().__getitem__(i)
+
+        lower = CountingList([1] + [0] * 11)
+        table = counting._column_table((4,), 12, 12, {(): lower})
+        assert CountingList.reads == 20
+        assert table == counting._column_table((4,), 12, 12, {})
 
     def test_point_budget_is_the_only_limit_on_q(self):
         mat = IntMatrix(((1,),))
@@ -524,8 +572,10 @@ class TestInterpolation:
             interpolate_quasi(gen_coxeter("B", 2), 1)
 
     def test_rejects_bad_period(self):
-        with pytest.raises(ValueError):
-            interpolate_quasi(gen_coxeter("B", 2), 0)
+        # No class is sampled; QuasiPolynomial refuses the period.
+        for bad in (0, -2):
+            with pytest.raises(ValueError, match="period must be >= 1"):
+                interpolate_quasi(gen_coxeter("B", 2), bad)
 
     def test_budget_propagates(self):
         with pytest.raises(BudgetExceeded):

@@ -9,9 +9,12 @@ compared entry for entry with _lattice_table_ref, built from a plain
 Hermite-form routine that reduces every row on every call, and the two
 engines are tied together by "lcm period = minimum period": the lcm of the
 last divisors over the table's nonzero-count lattices is the lcm period.
-Two changes of a matrix that leave its arrangement's count known need no
+Changes of a matrix that leave its arrangement's count known need no
 oracle at all: a column c next to a multiple k*c adds nothing, and a zero
-row multiplies every count by q; in both the lcm period stays put.
+row multiplies every count by q; in both the lcm period stays put.  A
+unimodular row change, a column shuffle, column sign flips and a duplicated
+column keep the hyperplanes mod every q, so they keep the lcm period and
+every count, brute force included.
 """
 
 import math
@@ -373,6 +376,14 @@ class TestLcmPeriod:
             assert exact % lcm_period(mat, cap).value == 0
 
 
+def _assert_same_arrangement(a: IntMatrix, b: IntMatrix) -> None:
+    assert lcm_period(a) == lcm_period(b)
+    for q in range(1, 16):
+        assert snf_count(a, q) == snf_count(b, q), q
+    for q in range(1, 8):
+        assert brute_force_count(a, q) == brute_force_count(b, q), q
+
+
 class TestMetamorphic:
     @given(
         int_matrices(max_rows=4, max_cols=5, max_abs=4),
@@ -402,6 +413,46 @@ class TestMetamorphic:
         for q in range(1, 8):
             assert snf_count(lifted, q) == q * snf_count(mat, q)
             assert brute_force_count(lifted, q) == q * brute_force_count(mat, q)
+
+    @given(int_matrices(max_rows=3, max_cols=6), st.data())
+    @settings(max_examples=30, deadline=None)
+    def test_unimodular_row_change(self, mat, data):
+        # U * S for U = row shears times a signed row permutation: x -> x U
+        # is a bijection of (Z/q)^m for every q.
+        m = mat.rows
+        rows = [list(r) for r in mat.entries]
+        if m > 1:
+            for _ in range(data.draw(st.integers(1, 3))):
+                i, j = data.draw(st.permutations(range(m)))[:2]
+                c = data.draw(st.sampled_from([-2, -1, 1, 2]))
+                rows[i] = [a + c * b for a, b in zip(rows[i], rows[j])]
+        rows = data.draw(st.permutations(rows))
+        signs = data.draw(st.lists(st.sampled_from([-1, 1]), min_size=m, max_size=m))
+        _assert_same_arrangement(
+            mat, IntMatrix(tuple(tuple(e * v for v in r) for e, r in zip(signs, rows)))
+        )
+
+    @given(int_matrices(max_rows=3, max_cols=6), st.data())
+    @settings(max_examples=30, deadline=None)
+    def test_column_shuffle(self, mat, data):
+        cols = data.draw(st.permutations(list(mat.columns())))
+        _assert_same_arrangement(mat, IntMatrix.from_columns(cols))
+
+    @given(int_matrices(max_rows=3, max_cols=6), st.data())
+    @settings(max_examples=30, deadline=None)
+    def test_column_sign_flips(self, mat, data):
+        signs = data.draw(
+            st.lists(st.sampled_from([-1, 1]), min_size=mat.cols, max_size=mat.cols)
+        )
+        cols = [tuple(e * v for v in c) for e, c in zip(signs, mat.columns())]
+        _assert_same_arrangement(mat, IntMatrix.from_columns(cols))
+
+    @given(int_matrices(max_rows=3, max_cols=5), st.data())
+    @settings(max_examples=30, deadline=None)
+    def test_duplicated_column(self, mat, data):
+        cols = list(mat.columns())
+        j = data.draw(st.integers(0, len(cols) - 1))
+        _assert_same_arrangement(mat, IntMatrix.from_columns([*cols, cols[j]]))
 
 
 class TestPeriodWork:
