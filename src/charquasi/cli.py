@@ -136,6 +136,8 @@ def cmd_quasi(args: argparse.Namespace) -> int:
     if args.matrix is not None:
         if args.method == "closed-form":
             raise ValueError("closed-form output needs a built-in --family")
+        if (args.m, args.s, args.r) != (None, None, None):
+            raise ValueError("--m, --s and --r describe a --family, not a matrix file")
         from .intlinalg import lcm_period
 
         mat = _read_matrix(args.matrix)

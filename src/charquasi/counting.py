@@ -449,9 +449,8 @@ def check_gcd_property(qp: QuasiPolynomial) -> bool:
     """True when constituents depend only on gcd(period, k).
 
     The first class with gcd g is g itself, so each class is compared
-    with the class of its gcd.
+    with the class of its gcd.  Class rho is left out: gcd(rho, rho) = rho,
+    so it would be compared with itself.
     """
     rho = qp.period
-    return all(
-        qp.constituent(k) == qp.constituent(math.gcd(k, rho)) for k in range(1, rho + 1)
-    )
+    return all(qp.constituent(k) == qp.constituent(math.gcd(k, rho)) for k in range(1, rho))

@@ -40,6 +40,12 @@ would extend, so it is not extended, and the table drops it before its
 divisors are taken.  Its size is the number of lattices with a nonzero
 count, not 2^n, and nothing here bounds it by the column count.
 
+Each walk is one dict keyed by canonical Hermite form, grown in place:
+a column pass reads a snapshot of the dict's items, so the lattices it
+adds wait for the next column, and the size of the walk is len() of the
+dict.  The frontier keeps its top-rank lattices there too, at rank top,
+and never extends them.
+
 One refusal is left: lcm_period without a cap refuses more than
 FULL_ENUMERATION_LIMIT columns.  It is a policy, not a cost (a cap of
 rank S or more walks the same frontier and is exact); bench/selftest.py
@@ -207,12 +213,10 @@ def _lattice_table(mat: IntMatrix) -> tuple[tuple[int, tuple[int, ...]], ...]:
     """
     table = {_span(mat.rows, ()): 1}
     for col in mat.columns():
-        grown = dict(table)
-        for basis, count in table.items():
+        for basis, count in list(table.items()):
             if count:
                 key = _hnf_add(basis, col)
-                grown[key] = grown.get(key, 0) - count
-        table = grown
+                table[key] = table.get(key, 0) - count
     return tuple((count, _basis_divisors(basis)) for basis, count in table.items() if count)
 
 
@@ -250,7 +254,8 @@ def lcm_period(mat: IntMatrix, max_subset_size: int | None = None) -> PeriodResu
     Only the lattices of independent column sets are built (see the module
     docstring): a column extends a lattice when it raises the rank, up to
     top = min(c, rank S), and the period is the lcm of the last divisor
-    over the lattices of rank top.
+    over the lattices of rank top.  One dict maps every lattice reached,
+    of any rank up to top, to its rank.
     """
     n = mat.cols
     rank = _rank(_span(mat.rows, mat.columns()))
@@ -268,22 +273,18 @@ def lcm_period(mat: IntMatrix, max_subset_size: int | None = None) -> PeriodResu
         if cap < 1:
             raise ValueError("max_subset_size must be >= 1")
     top = min(cap, rank)
-    # Lattices of independent sets below rank top, with their rank; those
-    # of rank top are never extended and only their last divisor is kept.
-    below = {_span(mat.rows, ()): 0}
-    tops = set()
+    # Lattices of independent sets, with their rank; those of rank top are
+    # never extended, and only their last divisor is kept.
+    seen = {_span(mat.rows, ()): 0}
     rho = 1
     for col in mat.columns():
-        for basis, r in list(below.items()):
-            if r + 1 < top:
+        for basis, r in list(seen.items()):
+            # At rank top - 1, a multiple of the last divisor that divides rho
+            # (or a column in the rational span, gcd 0) adds nothing: skip it.
+            if r + 1 < top or (r < top and rho % (_minors_gcd(basis, col) or rho)):
                 key = _hnf_add(basis, col)
-                if _rank(key) > r:
-                    below[key] = r + 1
-            # A multiple of the last divisor that divides rho (or a column
-            # in the rational span, gcd 0) adds nothing: skip the lattice.
-            elif rho % (_minors_gcd(basis, col) or rho):
-                key = _hnf_add(basis, col)
-                if key not in tops:
-                    tops.add(key)
-                    rho = math.lcm(rho, _basis_divisors(key)[-1])
+                if key not in seen and _rank(key) > r:
+                    seen[key] = r + 1
+                    if r + 1 == top:
+                        rho = math.lcm(rho, _basis_divisors(key)[-1])
     return PeriodResult(rho, cap >= rank)

@@ -280,6 +280,19 @@ class TestQuasi:
         )
         assert code == 2 and err
 
+    @pytest.mark.parametrize(
+        "family_flags",
+        [("--m", "7"), ("--s", "4,2"), ("--r", "1"), ("--m", "7", "--s", "4,2", "--r", "1")],
+    )
+    def test_file_refuses_family_flags(self, capsys, b2_file, family_flags):
+        # Without --family these flags describe nothing; the file is not
+        # quietly read in their place.
+        code, out, err = run_cli(
+            capsys, "quasi", b2_file, *family_flags, "--method", "interpolate"
+        )
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and err.count("\n") == 1 and "--family" in err
+
     def test_closed_form_needs_family(self, capsys, b2_file):
         code, _, err = run_cli(capsys, "quasi", b2_file, "--method", "closed-form")
         assert code == 2 and "family" in err

@@ -378,6 +378,9 @@ class TestLcmPeriod:
 
 def _assert_same_arrangement(a: IntMatrix, b: IntMatrix) -> None:
     assert lcm_period(a) == lcm_period(b)
+    # Every cap too: below the rank, the walk stops at lattices of rank cap.
+    for cap in range(1, max(a.cols, b.cols) + 2):
+        assert lcm_period(a, cap) == lcm_period(b, cap), cap
     for q in range(1, 16):
         assert snf_count(a, q) == snf_count(b, q), q
     for q in range(1, 8):
