@@ -37,11 +37,9 @@ _Value, the base of the package's immutable value types, lives here because
 every other layer already imports this module.
 """
 
-from __future__ import annotations
-
 import math
 import operator
-from typing import Iterable, Sequence
+from collections.abc import Iterable, Sequence
 
 from .errors import EmptyArrangement, InvalidChain, InvalidParity
 

@@ -25,8 +25,6 @@ library callers that call it in their own process keep normal collection.
 The exit path (atexit handlers, flushes, exit codes) is the normal one.
 """
 
-from __future__ import annotations
-
 import argparse
 import sys
 import time

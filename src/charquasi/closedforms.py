@@ -24,10 +24,8 @@ wrong variant lives in tests/test_closedforms.py, which pins the
 disagreement; the library holds only the formula it evaluates.
 """
 
-from __future__ import annotations
-
 import math
-from typing import Sequence
+from collections.abc import Sequence
 
 from .arrangements import DeformSpec, coxeter_spec, known_period
 from .counting import Polynomial, QuasiPolynomial, _residue_index

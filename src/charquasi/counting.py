@@ -29,12 +29,10 @@ Polynomial and QuasiPolynomial are the exact result types shared with the
 closed-form module.
 """
 
-from __future__ import annotations
-
 import math
 import operator
 from functools import reduce
-from typing import Iterable
+from collections.abc import Iterable
 
 from .arrangements import IntMatrix, _Value
 from .errors import BudgetExceeded, InvalidResidue, NotIntegral, NotMonic

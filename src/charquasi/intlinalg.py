@@ -52,12 +52,11 @@ rank S or more walks the same frontier and is exact); bench/selftest.py
 pins it as its refused call until a lattice budget replaces it.
 """
 
-from __future__ import annotations
-
 import math
 import operator
+from collections import namedtuple
+from collections.abc import Iterable, Sequence
 from functools import lru_cache, reduce
-from typing import Iterable, NamedTuple, Sequence
 
 from .arrangements import IntMatrix, _Value
 # Kept because TRACED in bench/tracing.py looks known_period up in this module.
@@ -86,11 +85,10 @@ class ElementaryDivisors(_Value):
         object.__setattr__(self, "divisors", divs)
 
 
-class PeriodResult(NamedTuple):
-    """lcm-period value; exact=False marks a run capped below the rank (lower bound only)."""
+PeriodResult = namedtuple("PeriodResult", ["value", "exact"])
+PeriodResult.__doc__ = """lcm-period value; exact=False marks a capped run (a lower bound).
 
-    value: int
-    exact: bool
+A named tuple on purpose, not a _Value: it equals and unpacks as (value, exact)."""
 
 
 def _chain_fix(diag: Iterable[int]) -> list[int]:

@@ -23,7 +23,7 @@ from pathlib import Path
 from hypothesis import strategies as st
 
 import charquasi
-from charquasi import IntMatrix
+from charquasi import DeformSpec, IntMatrix
 
 # When a @given test fails, hypothesis's pytest plugin imports this module
 # (and libcst) to suggest a patch.  Under filterwarnings = ["error"] a
@@ -158,6 +158,17 @@ def random_chain_d(rng: random.Random, max_t: int = 4) -> tuple[tuple[int, ...],
         else:
             chain.append(chain[-1] * rng.randint(1, 3))
     return tuple(reversed(chain)), r
+
+
+@st.composite
+def deform_cases(draw):
+    """A random (family, DeformSpec) of either deformation family, m <= 4, t <= 3."""
+    rng = draw(st.randoms(use_true_random=False))
+    if draw(st.booleans()):
+        s = random_chain_a(rng, max_t=3)
+        return "Adeform", DeformSpec(rng.randint(len(s), 4), s)
+    s, r = random_chain_d(rng, max_t=3)
+    return "Ddeform", DeformSpec(rng.randint(max(len(s), 2), 4), s, r)
 
 
 def lemma_union_a_instance(rng: random.Random) -> tuple[int, int] | None:

@@ -11,7 +11,6 @@ from contextlib import redirect_stdout
 
 import pytest
 from hypothesis import example, given, settings
-from hypothesis import strategies as st
 
 import charquasi
 from charquasi import (
@@ -27,7 +26,7 @@ from charquasi import (
 )
 from charquasi.cli import main
 
-from conftest import child_env, random_chain_a, random_chain_d
+from conftest import child_env, deform_cases
 
 
 def run_cli(capsys, *argv):
@@ -588,7 +587,9 @@ print(json.dumps(runs))
 # Modules loaded beyond those of a bare interpreter after the import and
 # after each stage named on the command line, run in that order, one line
 # per stage; json is not imported here because it is one of the modules
-# checked.
+# checked.  The child runs with -S: a site-packages .pth hook can import
+# typing, re or pathlib before any program starts, and a module already
+# loaded by the interpreter is invisible to the difference.
 _LAYER_PROBE = """
 import io, sys
 from contextlib import redirect_stdout
@@ -613,10 +614,15 @@ with redirect_stdout(io.StringIO()):
 """
 
 
+# Imports that would serve only annotations, which Python 3.10 evaluates
+# without them.
+ANNOTATION_ONLY = {"typing", "__future__"}
+
+
 def _layer_probe(b2_file: str, *stages: str) -> dict[str, set[str]]:
     """Modules loaded after the import and after each stage, in one interpreter."""
     proc = subprocess.run(
-        [sys.executable, "-c", _LAYER_PROBE, b2_file, *stages],
+        [sys.executable, "-S", "-c", _LAYER_PROBE, b2_file, *stages],
         capture_output=True,
         text=True,
         env=child_env(),
@@ -666,6 +672,8 @@ class TestStartUp:
 
     def test_each_command_loads_only_its_layers(self, b2_file):
         loaded = _layer_probe(b2_file, "period", "snf", "interpolate")
+        for names in loaded.values():
+            assert not names & ANNOTATION_ONLY
         assert {"charquasi.cli", "charquasi.arrangements"} <= loaded["import"]
         layers = {"charquasi.intlinalg", "charquasi.counting", "charquasi.closedforms"}
         unused = {"dataclasses", "inspect", "fractions", "json", "gc"}
@@ -679,6 +687,8 @@ class TestStartUp:
 
     def test_family_commands_load_only_their_layers(self, b2_file):
         loaded = _layer_probe(b2_file, "gen", "closed-form")
+        for names in loaded.values():
+            assert not names & ANNOTATION_ONLY
         package = {name for name in loaded["gen"] if name.startswith("charquasi")}
         assert package <= {
             "charquasi", "charquasi.cli", "charquasi.arrangements", "charquasi.errors"
@@ -707,18 +717,8 @@ def _closed_form_out(family: str, spec: DeformSpec) -> str:
     return out.getvalue()
 
 
-@st.composite
-def _deform_cases(draw):
-    rng = draw(st.randoms(use_true_random=False))
-    if draw(st.booleans()):
-        s = random_chain_a(rng, max_t=3)
-        return "Adeform", DeformSpec(rng.randint(len(s), 4), s)
-    s, r = random_chain_d(rng, max_t=3)
-    return "Ddeform", DeformSpec(rng.randint(max(len(s), 2), 4), s, r)
-
-
 class TestClosedFormPerDivisor:
-    @given(_deform_cases())
+    @given(deform_cases())
     @example(("Adeform", DeformSpec(3, (12, 6, 3))))
     @example(("Ddeform", DeformSpec(4, (12, 6, 3, 1), 2)))
     @example(("Ddeform", DeformSpec(3, (30, 15, 5), 1)))

@@ -29,7 +29,9 @@ from charquasi import (
     brute_force_count,
     check_gcd_property,
     chi_coxeter,
+    deform_quasi,
     gen_coxeter,
+    gen_deform,
     gen_deform_a,
     gen_deform_d,
     interpolate_quasi,
@@ -41,7 +43,7 @@ from charquasi import counting
 from charquasi.counting import _TABLE_BITS, _newton_integer_poly
 from charquasi.intlinalg import _lattice_table
 
-from conftest import EDGE_MATRICES, count_calls, int_matrices
+from conftest import EDGE_MATRICES, count_calls, deform_cases, int_matrices
 
 
 def _plain_count(mat: IntMatrix, q: int) -> int:
@@ -55,6 +57,36 @@ def _plain_count(mat: IntMatrix, q: int) -> int:
         else:
             count += 1
     return count
+
+
+def _whitney_polynomial(mat: IntMatrix) -> Polynomial:
+    """Characteristic polynomial of the real arrangement, with no Smith form.
+
+    Whitney's formula: chi(q) = sum over column subsets J of
+    (-1)^|J| q^(m - rank J), each rank by exact Fraction elimination.  The
+    walk decides the columns in order and skips a subtree whose next column
+    lies in the span of the chosen ones: taking that column or not keeps
+    every rank and flips every sign, so the subtree sums to 0.  The chosen
+    columns therefore stay independent, and rank J = |J| at every leaf.
+    """
+    m, cols = mat.rows, [[Fraction(v) for v in col] for col in mat.columns()]
+    coeffs = [0] * (m + 1)
+
+    def walk(rows: list[tuple[int, list[Fraction]]], k: int) -> None:
+        if k == len(cols):
+            coeffs[m - len(rows)] += (-1) ** len(rows)
+            return
+        rest = cols[k]
+        for pivot, row in rows:  # each row is 1 at its pivot, 0 at earlier pivots
+            rest = [a - rest[pivot] * b for a, b in zip(rest, row)]
+        if not any(rest):
+            return
+        walk(rows, k + 1)
+        pivot = next(i for i, v in enumerate(rest) if v)
+        walk([*rows, (pivot, [v / rest[pivot] for v in rest])], k + 1)
+
+    walk([], 0)
+    return Polynomial(coeffs)
 
 
 def _lagrange_integer_poly(xs: list[int], ys: list[int]) -> Polynomial:
@@ -539,6 +571,35 @@ class TestSnfCount:
             snf_count(mat, q)
         lcm_period(mat, mat.cols + 3)
         assert _lattice_table.cache_info().misses == 1
+
+
+class TestCoprimeConstituent:
+    """For q coprime to rho every divisor gcd is 1, so the count is Whitney's
+    polynomial (Kamiya-Takemura-Terao 2008): an oracle that shares no Smith
+    form or lattice code with snf_count and no formula with the closed forms.
+    """
+
+    def test_whitney_polynomial_of_b2(self):
+        assert _whitney_polynomial(gen_coxeter("B", 2)).coeffs == (3, -4, 1)
+
+    @given(int_matrices(max_rows=3, max_cols=7, max_abs=4))
+    @settings(max_examples=100, deadline=None)
+    def test_snf_count_at_coprime_moduli(self, mat):
+        chi, rho = _whitney_polynomial(mat), lcm_period(mat).value
+        for q in range(2, 41):
+            if math.gcd(q, rho) == 1:
+                assert snf_count(mat, q) == chi(q), q
+
+    @given(deform_cases())
+    @example(("Ddeform", DeformSpec(4, (6, 3, 1))))
+    @example(("Adeform", DeformSpec(4, (12, 6, 3, 1))))
+    @example(("Ddeform", DeformSpec(3, (2, 2))))
+    @settings(max_examples=40, deadline=None)
+    def test_closed_form_class_one(self, case):
+        family, spec = case
+        assert deform_quasi(family, spec).constituent(1) == _whitney_polynomial(
+            gen_deform(family, spec)
+        )
 
 
 class TestInterpolation:

@@ -17,8 +17,11 @@ from charquasi import (
     DeformSpec,
     ElementaryDivisors,
     IntMatrix,
+    PeriodResult,
     Polynomial,
     QuasiPolynomial,
+    gen_coxeter,
+    lcm_period,
     snf_count,
 )
 from charquasi.intlinalg import _lattice_table
@@ -97,7 +100,7 @@ _P1 = Polynomial((3, -4, 1))
 _P2 = Polynomial((4, -4, 1))
 
 # (class, constructor arguments, repr as the package printed it when the
-# types were dataclasses)
+# types were dataclasses, and PeriodResult when it was a typing.NamedTuple)
 VALUES = [
     (
         IntMatrix,
@@ -113,6 +116,7 @@ VALUES = [
         "QuasiPolynomial(period=2, constituents=(Polynomial(coeffs=(3, -4, 1)), "
         "Polynomial(coeffs=(4, -4, 1))))",
     ),
+    (PeriodResult, (2, True), "PeriodResult(value=2, exact=True)"),
 ]
 IDS = [cls.__name__ for cls, _, _ in VALUES]
 
@@ -138,7 +142,8 @@ class TestValueTypes:
     @pytest.mark.parametrize("cls, args, text", VALUES, ids=IDS)
     def test_fields_cannot_be_assigned(self, cls, args, text):
         value = cls(*args)
-        for name in cls.__slots__:
+        # A named tuple's fields are read-only descriptors, and it has no slots.
+        for name in getattr(cls, "_fields", cls.__slots__):
             with pytest.raises(AttributeError):
                 setattr(value, name, getattr(value, name))
             with pytest.raises(AttributeError):
@@ -159,6 +164,15 @@ class TestValueTypes:
             assert type(back) is cls and back == value
         assert copy.deepcopy(value) == value
         assert copy.copy(value) == value
+
+    def test_period_result_is_a_plain_tuple(self):
+        # On purpose, unlike the _Value types: it equals and unpacks as the
+        # tuple (value, exact).
+        assert PeriodResult(2, True) == (2, True)
+        assert (2, True) == PeriodResult(2, True)
+        assert hash(PeriodResult(2, True)) == hash((2, True))
+        value, exact = lcm_period(gen_coxeter("B", 2))
+        assert (value, exact) == (2, True)
 
     def test_equal_matrices_share_one_lattice_table_entry(self):
         entries = ((1, 0, 1, 1), (0, 1, -1, 1))
