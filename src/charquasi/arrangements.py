@@ -134,7 +134,8 @@ class DeformSpec(_Value):
     divisibility chain s_t | ... | s_1.  r is the number of even entries of
     s, worked out from s; the chain makes them the leading ones, which is
     the parity split that type D reads.  An explicit r is only checked:
-    ValueError unless 0 <= r <= t, InvalidParity unless it equals the count.
+    InvalidParity (a ValueError) unless it equals the count, which also
+    refuses any r outside 0..t.
     """
 
     __slots__ = ("m", "s", "r")
@@ -158,8 +159,6 @@ class DeformSpec(_Value):
         even = sum(v % 2 == 0 for v in s)
         if r is not None:
             r = operator.index(r)
-            if r < 0 or r > len(s):
-                raise ValueError(f"need 0 <= r <= t, got r = {r}")
             if r != even:
                 raise InvalidParity(
                     f"r must be the number of even entries of s, {even}; got r = {r}"

@@ -166,8 +166,10 @@ def cmd_verify(args: argparse.Namespace) -> int:
     mat = gen_deform(family, spec)
     rho = known_period(spec, family)
     # Only qmax constituents are needed, never the rho-long quasi-polynomial;
-    # chi reduces each modulus q to its class itself.  The verdict is 'pass'
-    # exactly when the three counts agree in every row.
+    # chi reduces each modulus q to its class itself.  Rows are counted from
+    # q = qmax down, so an over-budget qmax is refused before any count, and
+    # listed ascending.  The verdict is 'pass' exactly when the three counts
+    # agree in every row.
     rows = [
         {
             "q": q,
@@ -175,8 +177,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
             "snf": snf_count(mat, q),
             "closed": chi_deform(family, spec, q)(q),
         }
-        for q in range(1, args.qmax + 1)
-    ]
+        for q in range(args.qmax, 0, -1)
+    ][::-1]
     agree = all(row["brute"] == row["snf"] == row["closed"] for row in rows)
     verdict = "pass" if agree else "fail"
     ms = round((time.perf_counter() - started) * 1000)

@@ -401,17 +401,21 @@ def interpolate_quasi(
 
     Per residue class k in 1..period the first m + 1 sample moduli
     q = k + period*j, j = 0..m, are counted by brute_force_count (each
-    within budget) and interpolated exactly.  q = 1 is a valid sample of
-    class 1: its constituent sum_J (-1)^|J| q^(m - rank J) is 0 there,
-    as is the count.  A wrong period surfaces as NotIntegral or NotMonic,
-    never as a silently wrong result.  A period below 1 samples no class
-    and is refused by QuasiPolynomial.
+    within budget) and interpolated exactly.  The classes run from period
+    down to 1 and each class's samples from largest to smallest, so the
+    first count is the largest modulus, period*(m + 1): a period over the
+    point budget raises BudgetExceeded naming it before any other count.
+    q = 1 is a valid sample of class 1: its constituent
+    sum_J (-1)^|J| q^(m - rank J) is 0 there, as is the count.  A wrong
+    period surfaces as NotIntegral or NotMonic, never as a silently wrong
+    result.  A period below 1 samples no class and is refused by
+    QuasiPolynomial.
     """
     m = mat.rows
     constituents = []
-    for k in range(1, period + 1):
+    for k in range(period, 0, -1):
         xs = [k + period * j for j in range(m + 1)]
-        ys = [brute_force_count(mat, x, budget) for x in xs]
+        ys = [brute_force_count(mat, x, budget) for x in reversed(xs)][::-1]
         poly = _newton_integer_poly(xs, ys)
         if poly.degree != m or not poly.is_monic:
             raise NotMonic(
@@ -419,7 +423,7 @@ def interpolate_quasi(
                 f"not monic of degree {m}"
             )
         constituents.append(poly)
-    return QuasiPolynomial(period, tuple(constituents))
+    return QuasiPolynomial(period, reversed(constituents))
 
 
 def verify_minimum_period(qp: QuasiPolynomial) -> bool:

@@ -18,11 +18,13 @@ class InvalidChain(CharQuasiError):
     """The diagonal entries violate the divisibility chain s_t | ... | s_1."""
 
 
-class InvalidParity(CharQuasiError):
+class InvalidParity(CharQuasiError, ValueError):
     """An explicit r is not the number of even entries of s.
 
     The divisibility chain makes the even entries of s its leading ones, so
-    DeformSpec works r out from s; a given r is only checked against it.
+    DeformSpec works r out from s; a given r is only checked against it,
+    which also refuses an r outside 0..t.  It is a ValueError, so callers
+    catching ValueError for an out-of-range r keep working.
     """
 
 
@@ -47,6 +49,8 @@ class BudgetExceeded(CharQuasiError):
 
     The budget= argument of brute_force_count and interpolate_quasi lifts
     it; it is brute force's only limit.  snf_count has no point budget.
+    interpolate_quasi and the verify command count their largest modulus
+    first, so they raise it before any other count.
     """
 
 

@@ -98,8 +98,15 @@ class TestDeformSpec:
             DeformSpec(2, (4, 2), 1)
 
     def test_r_out_of_range(self):
-        with pytest.raises(ValueError):
+        # The one r check: r > t is never the count of even entries.
+        # InvalidParity is a ValueError, so callers catching ValueError
+        # still catch it.
+        with pytest.raises(InvalidParity) as exc:
             DeformSpec(2, (2,), 2)
+        assert issubclass(InvalidParity, ValueError)
+        assert str(exc.value) == (
+            "r must be the number of even entries of s, 1; got r = 2"
+        )
 
     def test_r_is_the_number_of_even_entries(self):
         assert DeformSpec(4, (6, 3, 1)).r == 1

@@ -24,9 +24,10 @@ from charquasi import (
     gen_deform,
     known_period,
 )
+from charquasi import counting
 from charquasi.cli import main
 
-from conftest import child_env, deform_cases
+from conftest import child_env, count_calls, deform_cases
 
 
 def run_cli(capsys, *argv):
@@ -433,6 +434,18 @@ class TestVerify:
         )
         assert code == 1
         assert "verdict: fail" in out
+
+    def test_over_budget_qmax_refused_before_any_other_count(self, capsys, monkeypatch):
+        # Rows are counted from q = qmax down: 40^5 points are over the
+        # default budget, so the first brute call refuses, before any
+        # snf_count.
+        calls = count_calls(monkeypatch, counting, "brute_force_count", "snf_count")
+        code, out, err = run_cli(
+            capsys, "verify", "--family", "B", "--m", "5", "--qmax", "40"
+        )
+        assert (code, out) == (2, "")
+        assert err.startswith("error: 40^5")
+        assert (calls["brute_force_count"], calls["snf_count"]) == (1, 0)
 
     def test_huge_period_checks_only_qmax_moduli(self, capsys):
         # rho = 10^7: building the rho-long quasi-polynomial took seconds.

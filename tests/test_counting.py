@@ -642,6 +642,15 @@ class TestInterpolation:
         with pytest.raises(BudgetExceeded):
             interpolate_quasi(gen_coxeter("B", 2), 2, budget=10)
 
+    def test_over_budget_period_refused_before_any_other_count(self, monkeypatch):
+        # The first count is the largest modulus, rho * (m + 1) = 104, so
+        # the kernel's budget check refuses it before any other count.
+        calls = count_calls(monkeypatch, counting, "brute_force_count")
+        with pytest.raises(BudgetExceeded) as exc:
+            interpolate_quasi(gen_deform_a(DeformSpec(3, (26, 13))), 26, budget=10**6)
+        assert calls["brute_force_count"] == 1
+        assert str(exc.value).startswith("104^3")
+
     def test_lagrange_exact(self):
         poly = _newton_integer_poly([2, 3, 4], [0, 0, 4])
         assert poly == Polynomial((12, -10, 2))
