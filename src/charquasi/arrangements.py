@@ -284,11 +284,8 @@ def parse_matrix(text: str) -> IntMatrix:
     ]
     if not lines:
         raise ValueError("empty matrix text")
-    head = lines[0].split()
-    if len(head) != 2:
-        raise ValueError("header must be two integers: '<rows> <cols>'")
     try:
-        m, n = int(head[0]), int(head[1])
+        m, n = map(int, lines[0].split())
     except ValueError:
         raise ValueError("header must be two integers: '<rows> <cols>'") from None
     if m < 1 or n < 1:

@@ -42,6 +42,12 @@ from .arrangements import (
 )
 from .errors import CharQuasiError
 
+# The longest listing quasi writes, checked before any count.  At rho = 10**6
+# the closed form for m = 1..3 takes about 1 s and 125-175 MB and writes
+# 16-33 MB of text; interpolating m = 1 takes about 400 s, as the point
+# budget bounds each count, not their sum.
+LISTING_LIMIT = 10**6
+
 
 def _parse_s(text: str) -> tuple[int, ...]:
     try:
@@ -52,11 +58,13 @@ def _parse_s(text: str) -> tuple[int, ...]:
         ) from None
 
 
-def _add_family_options(sp: argparse.ArgumentParser, required: bool) -> None:
-    sp.add_argument(
+def _add_family_options(sp: argparse.ArgumentParser, source=None) -> None:
+    """Add the family options; --family is required unless it joins source,
+    quasi's required matrix-or-family group."""
+    (sp if source is None else source).add_argument(
         "--family",
         choices=COXETER_FAMILIES + DEFORM_FAMILIES,
-        required=required,
+        required=source is None,
         help="built-in family (A, B, C, D, Adeform, Ddeform)",
     )
     sp.add_argument("--m", type=int, help="ambient dimension")
@@ -129,8 +137,6 @@ def cmd_count(args: argparse.Namespace) -> int:
 def cmd_quasi(args: argparse.Namespace) -> int:
     from .counting import interpolate_quasi
 
-    if args.matrix is not None and args.family is not None:
-        raise ValueError("give either a matrix file or --family, not both")
     if args.matrix is not None:
         if args.method == "closed-form":
             raise ValueError("closed-form output needs a built-in --family")
@@ -140,17 +146,22 @@ def cmd_quasi(args: argparse.Namespace) -> int:
 
         mat = _read_matrix(args.matrix)
         # A cap of m is at least the rank, so the period is exact at any width.
-        qp = interpolate_quasi(mat, lcm_period(mat, mat.rows).value)
-    elif args.family is not None:
-        _, family, spec = _family_from_args(args)
-        if args.method == "closed-form":
-            from .closedforms import deform_quasi
-
-            qp = deform_quasi(family, spec)
-        else:
-            qp = interpolate_quasi(gen_deform(family, spec), known_period(spec, family))
+        rho = lcm_period(mat, mat.rows).value
     else:
-        raise ValueError("need a matrix file or --family")
+        _, family, spec = _family_from_args(args)
+        rho = known_period(spec, family)
+    if rho > LISTING_LIMIT:
+        raise ValueError(
+            f"rho = {rho} is over the listing limit of {LISTING_LIMIT} residue "
+            "classes; count single moduli with 'count --q N' or 'verify --qmax N', "
+            "or single classes with chi_deform(family, spec, k)"
+        )
+    if args.method == "closed-form":
+        from .closedforms import deform_quasi
+
+        qp = deform_quasi(family, spec)
+    else:
+        qp = interpolate_quasi(mat if args.matrix else gen_deform(family, spec), rho)
     sys.stdout.write(str(qp))
     return 0
 
@@ -211,7 +222,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_gen = sub.add_parser("gen", help="print a built-in normal matrix")
-    _add_family_options(p_gen, required=True)
+    _add_family_options(p_gen)
     p_gen.set_defaults(func=cmd_gen)
 
     p_period = sub.add_parser("period", help="lcm period of a matrix file")
@@ -233,10 +244,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_count.set_defaults(func=cmd_count)
 
     p_quasi = sub.add_parser("quasi", help="full characteristic quasi-polynomial")
-    p_quasi.add_argument(
-        "matrix", nargs="?", default=None, help="matrix file (alternative to --family)"
-    )
-    _add_family_options(p_quasi, required=False)
+    source = p_quasi.add_mutually_exclusive_group(required=True)
+    source.add_argument("matrix", nargs="?", help="matrix file (alternative to --family)")
+    _add_family_options(p_quasi, source)
     p_quasi.add_argument(
         "--method",
         choices=("interpolate", "closed-form"),
@@ -248,7 +258,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify = sub.add_parser(
         "verify", help="cross-check brute, snf and closed-form counts"
     )
-    _add_family_options(p_verify, required=True)
+    _add_family_options(p_verify)
     p_verify.add_argument(
         "--qmax", type=int, default=10, help="check all moduli 1..qmax (default 10)"
     )

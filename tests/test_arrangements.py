@@ -252,6 +252,8 @@ class TestMatrixText:
             ("", "empty matrix text"),
             ("# only a comment\n\n", "empty matrix text"),
             ("a b\n1 0\n", "header must be two integers"),
+            ("2\n1 0\n0 1\n", "header must be two integers"),
+            ("2 2 2\n1 0\n0 1\n", "header must be two integers"),
             ("0 2\n", "at least one row and one column"),
         ],
     )

@@ -24,7 +24,7 @@ from charquasi import (
     gen_deform,
     known_period,
 )
-from charquasi import counting
+from charquasi import closedforms, counting
 from charquasi.cli import main
 
 from conftest import child_env, count_calls, deform_cases
@@ -210,6 +210,10 @@ class TestCount:
         assert code == 2 and err
 
 
+def _no_count(*args):
+    raise AssertionError("brute_force_count ran")
+
+
 class TestQuasi:
     def test_closed_form_golden(self, capsys):
         code, out, _ = run_cli(
@@ -274,11 +278,14 @@ class TestQuasi:
         assert code == 0 and "rho = 1\n" in out
 
     def test_file_and_family_conflict(self, capsys, b2_file):
-        code, _, err = run_cli(
-            capsys, "quasi", b2_file, "--family", "B", "--m", "2",
-            "--method", "interpolate",
-        )
-        assert code == 2 and err
+        # The two sources are one required mutually exclusive argparse
+        # group, so both at once is a usage error.
+        with pytest.raises(SystemExit) as exc:
+            main(["quasi", b2_file, "--family", "B", "--m", "2", "--method", "interpolate"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: charquasi quasi")
+        assert "argument --family: not allowed with argument matrix" in err
 
     @pytest.mark.parametrize(
         "family_flags",
@@ -298,8 +305,46 @@ class TestQuasi:
         assert code == 2 and "family" in err
 
     def test_needs_some_input(self, capsys):
-        code, _, err = run_cli(capsys, "quasi", "--method", "interpolate")
-        assert code == 2 and err
+        with pytest.raises(SystemExit) as exc:
+            main(["quasi", "--method", "interpolate"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: charquasi quasi")
+        assert "one of the arguments matrix --family is required" in err
+
+    @pytest.mark.parametrize(
+        "source, method, rho",
+        [
+            (("--family", "Adeform", "--m", "1", "--s", "1000001"), "closed-form", 1000001),
+            (("--family", "Adeform", "--m", "1", "--s", "1000001"), "interpolate", 1000001),
+            (("--family", "Adeform", "--m", "2", "--s", "50000000"), "interpolate", 50000000),
+            (("FILE",), "interpolate", 1000001),
+        ],
+    )
+    def test_listing_over_the_limit_refused_before_any_count(
+        self, capsys, monkeypatch, tmp_path, source, method, rho
+    ):
+        # Each route knows rho before its first constituent or count:
+        # known_period for a family, lcm_period for a file (here the one
+        # hyperplane 1000001 x = 0).
+        monkeypatch.setattr(counting, "brute_force_count", _no_count)
+        calls = count_calls(monkeypatch, closedforms, "chi_deform")
+        path = tmp_path / "wide.txt"
+        path.write_text("1 1\n1000001\n")
+        argv = [str(path) if arg == "FILE" else arg for arg in source]
+        code, out, err = run_cli(capsys, "quasi", *argv, "--method", method)
+        assert (code, out, calls["chi_deform"]) == (2, "", 0)
+        assert err.startswith(
+            f"error: rho = {rho} is over the listing limit of 1000000 residue classes;"
+        )
+        assert "verify --qmax N" in err and "chi_deform(family, spec, k)" in err
+
+    def test_listing_limit_admits_rho_at_the_bound(self, monkeypatch):
+        # rho = 10^6 is listed: interpolation goes on to its first count.
+        monkeypatch.setattr(counting, "brute_force_count", _no_count)
+        with pytest.raises(AssertionError, match="brute_force_count ran"):
+            main(["quasi", "--family", "Adeform", "--m", "1", "--s", "1000000",
+                  "--method", "interpolate"])
 
     @pytest.mark.parametrize(
         "family_args",
