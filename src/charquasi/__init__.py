@@ -28,8 +28,6 @@ _EXPORTS = {
         "chi_coxeter", "chi_deform", "chi_deform_a", "chi_deform_d", "deform_quasi"
     ),
     "counting": (
-        "Polynomial",
-        "QuasiPolynomial",
         "brute_force_count",
         "check_gcd_property",
         "interpolate_quasi",
@@ -55,6 +53,7 @@ _EXPORTS = {
         "lcm_period",
         "smith_divisors",
     ),
+    "polynomials": ("Polynomial", "QuasiPolynomial"),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
 

@@ -13,7 +13,8 @@ spec error.  All library errors are reported as 'error: <message>' on
 stderr with exit code 2.
 
 Start-up loads only argparse, errors and arrangements; each command imports
-the layers it runs (intlinalg, counting, closedforms) in its own handler.
+the layers it runs (intlinalg, counting, closedforms) in its own handler,
+and only on the branch that runs them.
 
 entrypoint() is the one process entry: the `charquasi` console script and
 `python -m charquasi.cli` both run it.  It calls gc.freeze() before main().
@@ -135,8 +136,6 @@ def cmd_count(args: argparse.Namespace) -> int:
 
 
 def cmd_quasi(args: argparse.Namespace) -> int:
-    from .counting import interpolate_quasi
-
     if args.matrix is not None:
         if args.method == "closed-form":
             raise ValueError("closed-form output needs a built-in --family")
@@ -161,6 +160,8 @@ def cmd_quasi(args: argparse.Namespace) -> int:
 
         qp = deform_quasi(family, spec)
     else:
+        from .counting import interpolate_quasi
+
         qp = interpolate_quasi(mat if args.matrix else gen_deform(family, spec), rho)
     sys.stdout.write(str(qp))
     return 0
@@ -243,7 +244,15 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_count.set_defaults(func=cmd_count)
 
-    p_quasi = sub.add_parser("quasi", help="full characteristic quasi-polynomial")
+    families = ",".join(COXETER_FAMILIES + DEFORM_FAMILIES)
+    p_quasi = sub.add_parser(
+        "quasi",
+        help="full characteristic quasi-polynomial",
+        # argparse draws a group that mixes a positional and an option as two
+        # optional items, so the usage states that one source is required.
+        usage=f"%(prog)s [-h] (matrix | --family {{{families}}}) [--m M] "
+        "[--s LIST] [--r R] --method {interpolate,closed-form}",
+    )
     source = p_quasi.add_mutually_exclusive_group(required=True)
     source.add_argument("matrix", nargs="?", help="matrix file (alternative to --family)")
     _add_family_options(p_quasi, source)

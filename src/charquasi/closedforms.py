@@ -5,7 +5,9 @@ from integer roots, matching what counting and interpolation produce point
 for point.  Empty products are 1 and empty sums are 0 throughout, so every
 formula degenerates correctly at t = 0, t = m, r = 0 and r = t.  The
 reflection families have no formulas of their own: chi_coxeter reads the
-deformation formulas through arrangements.coxeter_spec.
+deformation formulas through arrangements.coxeter_spec.  The result types
+come from the polynomials module, so a closed form never loads the
+counting layer it is checked against.
 
 Residue-class indices k are reduced through the gcd property: constituents
 of a quasi-polynomial with minimum period rho agree whenever the indices
@@ -28,7 +30,7 @@ import math
 from collections.abc import Sequence
 
 from .arrangements import DeformSpec, coxeter_spec, known_period
-from .counting import Polynomial, QuasiPolynomial, _residue_index
+from .polynomials import Polynomial, QuasiPolynomial, _residue_index
 
 
 def chi_coxeter(family: str, m: int) -> QuasiPolynomial:

@@ -6,6 +6,7 @@ live only in this file: the specialised t = m formulas of D_m(s), and the
 rejected even-residue variant whose correction sum overcounts.
 """
 
+import functools
 import math
 
 import pytest
@@ -27,6 +28,7 @@ from charquasi import (
     gen_deform,
     gen_deform_a,
     gen_deform_d,
+    interpolate_quasi,
     known_period,
     lcm_period,
     verify_minimum_period,
@@ -363,6 +365,73 @@ class TestErratum:
         assert _even_constituent_d(2, 1, 2, d) != overcount_even_constituent_d(
             2, 1, 2, d
         )
+
+
+def _chains(top: int, t: int) -> list[tuple[int, ...]]:
+    """Every divisibility chain s_t | ... | s_1 of t positive entries, s_1 <= top."""
+    if not t:
+        return [()]
+    return [
+        (s1, *rest)
+        for s1 in range(1, top + 1)
+        for rest in _chains(s1, t - 1)
+        if not rest or s1 % rest[0] == 0
+    ]
+
+
+# Both families, every chain with s_1 <= 6 and m <= 4, less the specs that
+# are no arrangement of their family: A_1 with t = 0 and type D with m = 1.
+PAPER_GRID = [
+    (family, DeformSpec(m, s))
+    for family in ("Adeform", "Ddeform")
+    for m in range(1 if family == "Adeform" else 2, 5)
+    for t in range(m + 1)
+    for s in _chains(6, t)
+    if s or m > 1
+]
+
+
+@functools.cache
+def _interpolated_grid() -> tuple:
+    """Each grid spec's quasi-polynomial, interpolated from brute-force counts."""
+    return tuple(
+        interpolate_quasi(gen_deform(family, spec), known_period(spec, family))
+        for family, spec in PAPER_GRID
+    )
+
+
+def _grid_mismatches() -> list:
+    """The grid specs whose closed form is refused or is not the interpolated one."""
+    mismatches = []
+    for (family, spec), interpolated in zip(PAPER_GRID, _interpolated_grid()):
+        try:
+            closed = deform_quasi(family, spec)
+        except ValueError as exc:
+            closed = exc
+        if closed != interpolated:
+            mismatches.append((family, spec, closed))
+    return mismatches
+
+
+class TestPaperGrid:
+    def test_closed_forms_equal_interpolation(self):
+        # Whole quasi-polynomials: every constituent of every class.
+        assert len(PAPER_GRID) == len(set(PAPER_GRID)) == 310
+        assert _grid_mismatches() == []
+
+    def test_erratum_variant_fails_the_grid(self, monkeypatch):
+        monkeypatch.setattr(
+            closedforms, "_even_constituent_d", overcount_even_constituent_d
+        )
+        # The overcount leaves some even-class constituents non-monic or of
+        # the wrong degree, and QuasiPolynomial refuses those; no type-A
+        # spec is touched.
+        mismatches = _grid_mismatches()
+        assert len(mismatches) == 55
+        assert {family for family, _, _ in mismatches} == {"Ddeform"}
+        assert {str(closed) for _, _, closed in mismatches} == {
+            "constituents must be monic", "constituents must share one degree"
+        }
 
 
 class TestChiDeformDTm:

@@ -58,8 +58,17 @@ class TestLazyNamespace:
         value = getattr(charquasi, name)
         # Constants carry no __module__; they all live in arrangements.
         home = getattr(value, "__module__", "charquasi.arrangements")
-        assert home.startswith("charquasi.")
+        assert home == f"charquasi.{charquasi._MODULE_OF[name]}"
         assert getattr(sys.modules[home], name) is value
+
+    def test_result_types_are_defined_apart_from_counting(self):
+        # counting still binds them, so imports from it keep working.
+        from charquasi import counting
+
+        for name in ("Polynomial", "QuasiPolynomial"):
+            value = getattr(charquasi, name)
+            assert value.__module__ == "charquasi.polynomials"
+            assert getattr(counting, name) is value
 
     def test_dir_lists_every_name(self):
         assert set(charquasi.__all__) <= set(dir(charquasi))
