@@ -41,7 +41,7 @@ import math
 import operator
 from collections.abc import Iterable, Sequence
 
-from .errors import EmptyArrangement, InvalidChain, InvalidParity
+from .errors import CharQuasiError, EmptyArrangement, InvalidChain, InvalidParity
 
 COXETER_FAMILIES = ("A", "B", "C", "D")
 DEFORM_FAMILIES = ("Adeform", "Ddeform")
@@ -101,13 +101,13 @@ class IntMatrix(_Value):
     def __init__(self, entries: Iterable[Iterable[int]]) -> None:
         rows = tuple(tuple(operator.index(v) for v in row) for row in entries)
         if not rows or not rows[0]:
-            raise ValueError("matrix needs at least one row and one column")
+            raise CharQuasiError("matrix needs at least one row and one column")
         width = len(rows[0])
         if any(len(row) != width for row in rows):
-            raise ValueError("matrix rows must all have the same length")
+            raise CharQuasiError("matrix rows must all have the same length")
         for j in range(width):
             if all(row[j] == 0 for row in rows):
-                raise ValueError(f"column {j + 1} is zero")
+                raise CharQuasiError(f"column {j + 1} is zero")
         object.__setattr__(self, "entries", rows)
 
     @classmethod
@@ -134,8 +134,8 @@ class DeformSpec(_Value):
     divisibility chain s_t | ... | s_1.  r is the number of even entries of
     s, worked out from s; the chain makes them the leading ones, which is
     the parity split that type D reads.  An explicit r is only checked:
-    InvalidParity (a ValueError) unless it equals the count, which also
-    refuses any r outside 0..t.
+    InvalidParity unless it equals the count, which also refuses any r
+    outside 0..t.
     """
 
     __slots__ = ("m", "s", "r")
@@ -146,11 +146,11 @@ class DeformSpec(_Value):
         m = operator.index(m)
         s = tuple(operator.index(v) for v in s)
         if m < 1:
-            raise ValueError("dimension m must be >= 1")
+            raise CharQuasiError("dimension m must be >= 1")
         if len(s) > m:
-            raise ValueError(f"tuple length t = {len(s)} exceeds m = {m}")
+            raise CharQuasiError(f"tuple length t = {len(s)} exceeds m = {m}")
         if any(v < 1 for v in s):
-            raise ValueError("diagonal entries must be positive")
+            raise CharQuasiError("diagonal entries must be positive")
         for a, b in zip(s, s[1:]):
             if a % b:
                 raise InvalidChain(
@@ -197,7 +197,7 @@ def coxeter_spec(family: str, m: int) -> tuple[str, DeformSpec]:
     pair is generated or evaluated.
     """
     if family not in COXETER_FAMILIES:
-        raise ValueError(f"unknown family {family!r}, expected one of A B C D")
+        raise CharQuasiError(f"unknown family {family!r}, expected one of A B C D")
     if family in ("A", "D"):
         return f"{family}deform", DeformSpec(m)
     # B adds the columns e_i (all odd), C the columns 2 e_i (all even);
@@ -212,19 +212,19 @@ def known_period(spec: DeformSpec, family: str) -> int:
     Adeform: s_1 for t >= 1, else 1.  Ddeform: lcm(s_1, 2) for t >= 1,
     else 2.  This is the one check that (family, spec) names an
     arrangement, and every generator and formula of a family runs it:
-    ValueError for an unknown family, EmptyArrangement for A_1 and D_1
-    (m = 1, t = 0: no hyperplanes), and ValueError for type D with m = 1
+    CharQuasiError for an unknown family, EmptyArrangement for A_1 and D_1
+    (m = 1, t = 0: no hyperplanes), and CharQuasiError for type D with m = 1
     and t >= 1, whose e_i +- e_j part is empty although its diagonal part
     is not.
     """
     if family not in DEFORM_FAMILIES:
-        raise ValueError(f"unknown deformation family {family!r}")
+        raise CharQuasiError(f"unknown deformation family {family!r}")
     if spec.m == 1 and not spec.t:
         raise EmptyArrangement(f"empty arrangement: {family[0]}_1 has no hyperplanes")
     if family == "Adeform":
         return spec.s[0] if spec.t else 1
     if spec.m < 2:
-        raise ValueError("type-D deformation needs m >= 2")
+        raise CharQuasiError("type-D deformation needs m >= 2")
     return math.lcm(spec.s[0], 2) if spec.t else 2
 
 
@@ -274,7 +274,7 @@ def format_matrix(mat: IntMatrix) -> str:
 def parse_matrix(text: str) -> IntMatrix:
     """Parse the shared plain-text format; inverse of format_matrix.
 
-    Raises ValueError for malformed input (bad header, wrong row count or
+    Raises CharQuasiError for malformed input (bad header, wrong row count or
     width, non-integer tokens, zero columns).
     """
     lines = [
@@ -283,22 +283,22 @@ def parse_matrix(text: str) -> IntMatrix:
         if line and not line.startswith("#")
     ]
     if not lines:
-        raise ValueError("empty matrix text")
+        raise CharQuasiError("empty matrix text")
     try:
         m, n = map(int, lines[0].split())
     except ValueError:
-        raise ValueError("header must be two integers: '<rows> <cols>'") from None
+        raise CharQuasiError("header must be two integers: '<rows> <cols>'") from None
     if m < 1 or n < 1:
-        raise ValueError("matrix needs at least one row and one column")
+        raise CharQuasiError("matrix needs at least one row and one column")
     if len(lines) != m + 1:
-        raise ValueError(f"expected {m} data rows, found {len(lines) - 1}")
+        raise CharQuasiError(f"expected {m} data rows, found {len(lines) - 1}")
     rows = []
     for line in lines[1:]:
         try:
             vals = [int(tok) for tok in line.split()]
         except ValueError:
-            raise ValueError(f"non-integer entry in row: {line!r}") from None
+            raise CharQuasiError(f"non-integer entry in row: {line!r}") from None
         if len(vals) != n:
-            raise ValueError(f"expected {n} entries per row, found {len(vals)}")
+            raise CharQuasiError(f"expected {n} entries per row, found {len(vals)}")
         rows.append(tuple(vals))
     return IntMatrix(tuple(rows))

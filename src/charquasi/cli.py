@@ -43,10 +43,10 @@ from .arrangements import (
 )
 from .errors import CharQuasiError
 
-# The longest listing quasi writes, checked before any count.  At rho = 10**6
-# the closed form for m = 1..3 takes about 1 s and 125-175 MB and writes
-# 16-33 MB of text; interpolating m = 1 takes about 400 s, as the point
-# budget bounds each count, not their sum.
+# The longest listing quasi or verify writes, checked before any count.  At
+# rho = 10**6 the closed form for m = 1..3 takes about 1 s and 125-175 MB and
+# writes 16-33 MB of text; interpolating m = 1 takes about 400 s, as the point
+# budget bounds each count, not their sum.  verify writes one row per modulus.
 LISTING_LIMIT = 10**6
 
 
@@ -88,16 +88,16 @@ def _add_family_options(sp: argparse.ArgumentParser, source=None) -> None:
 def _family_from_args(args: argparse.Namespace) -> tuple[str, str, DeformSpec]:
     """The verify label, deformation family and spec of the --family options."""
     if args.m is None:
-        raise ValueError("--family needs --m")
+        raise CharQuasiError("--family needs --m")
     if args.family in COXETER_FAMILIES:
         if args.s is not None or args.r is not None:
-            raise ValueError("--s and --r only apply to deformation families")
+            raise CharQuasiError("--s and --r only apply to deformation families")
         return (f"{args.family} m={args.m}", *coxeter_spec(args.family, args.m))
     s = args.s or ()
     label = f"{args.family} m={args.m} s=({','.join(str(v) for v in s)})"
     if args.family == "Adeform":
         if args.r is not None:
-            raise ValueError("--r only applies to Ddeform")
+            raise CharQuasiError("--r only applies to Ddeform")
         return label, "Adeform", DeformSpec(args.m, s)
     spec = DeformSpec(args.m, s, args.r)
     return f"{label} r={spec.r}", "Ddeform", spec
@@ -138,9 +138,9 @@ def cmd_count(args: argparse.Namespace) -> int:
 def cmd_quasi(args: argparse.Namespace) -> int:
     if args.matrix is not None:
         if args.method == "closed-form":
-            raise ValueError("closed-form output needs a built-in --family")
+            raise CharQuasiError("closed-form output needs a built-in --family")
         if (args.m, args.s, args.r) != (None, None, None):
-            raise ValueError("--m, --s and --r describe a --family, not a matrix file")
+            raise CharQuasiError("--m, --s and --r describe a --family, not a matrix file")
         from .intlinalg import lcm_period
 
         mat = _read_matrix(args.matrix)
@@ -150,7 +150,7 @@ def cmd_quasi(args: argparse.Namespace) -> int:
         _, family, spec = _family_from_args(args)
         rho = known_period(spec, family)
     if rho > LISTING_LIMIT:
-        raise ValueError(
+        raise CharQuasiError(
             f"rho = {rho} is over the listing limit of {LISTING_LIMIT} residue "
             "classes; count single moduli with 'count --q N' or 'verify --qmax N', "
             "or single classes with chi_deform(family, spec, k)"
@@ -172,7 +172,12 @@ def cmd_verify(args: argparse.Namespace) -> int:
     from .counting import brute_force_count, snf_count
 
     if args.qmax < 1:
-        raise ValueError("--qmax must be >= 1")
+        raise CharQuasiError("--qmax must be >= 1")
+    if args.qmax > LISTING_LIMIT:
+        raise CharQuasiError(
+            f"--qmax {args.qmax} is over the listing limit of {LISTING_LIMIT} rows; "
+            "count single moduli with 'count --q N'"
+        )
     started = time.perf_counter()
     label, family, spec = _family_from_args(args)
     mat = gen_deform(family, spec)
@@ -284,7 +289,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (CharQuasiError, ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

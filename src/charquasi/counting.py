@@ -34,7 +34,7 @@ import operator
 from functools import reduce
 
 from .arrangements import IntMatrix
-from .errors import BudgetExceeded, NotIntegral, NotMonic
+from .errors import BudgetExceeded, CharQuasiError, NotIntegral, NotMonic
 from .polynomials import Polynomial, QuasiPolynomial
 
 DEFAULT_POINT_BUDGET = 10**8
@@ -70,7 +70,7 @@ def brute_force_count(mat: IntMatrix, q: int, budget: int = DEFAULT_POINT_BUDGET
     """
     q = operator.index(q)
     if q < 1:
-        raise ValueError("modulus q must be >= 1")
+        raise CharQuasiError("modulus q must be >= 1")
     m, n = mat.rows, mat.cols
     if q**m > budget:
         raise BudgetExceeded(
@@ -208,7 +208,7 @@ def snf_count(mat: IntMatrix, q: int) -> int:
 
     q = operator.index(q)
     if q < 1:
-        raise ValueError("modulus q must be >= 1")
+        raise CharQuasiError("modulus q must be >= 1")
     m = mat.rows
     total = 0
     for count, divs in _lattice_table(mat):

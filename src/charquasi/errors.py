@@ -1,12 +1,12 @@
 """Exception taxonomy shared across the package.
 
-Every failure mode raised by library code derives from CharQuasiError so a
-caller (notably the CLI) can map any library failure to a spec/usage error
-without enumerating subclasses.
+Every refusal the package words itself raises CharQuasiError or a subclass,
+and every CharQuasiError is a ValueError (IndexOutOfRange is an IndexError
+too), while a wrong argument type raises TypeError.
 """
 
 
-class CharQuasiError(Exception):
+class CharQuasiError(ValueError):
     """Base class for all errors raised by this package."""
 
 
@@ -18,13 +18,12 @@ class InvalidChain(CharQuasiError):
     """The diagonal entries violate the divisibility chain s_t | ... | s_1."""
 
 
-class InvalidParity(CharQuasiError, ValueError):
+class InvalidParity(CharQuasiError):
     """An explicit r is not the number of even entries of s.
 
     The divisibility chain makes the even entries of s its leading ones, so
     DeformSpec works r out from s; a given r is only checked against it,
-    which also refuses an r outside 0..t.  It is a ValueError, so callers
-    catching ValueError for an out-of-range r keep working.
+    which also refuses an r outside 0..t.
     """
 
 
@@ -62,5 +61,5 @@ class NotMonic(CharQuasiError):
     """Interpolation produced a constituent that is not monic of full degree."""
 
 
-class InvalidResidue(CharQuasiError, ValueError):
+class InvalidResidue(CharQuasiError):
     """A residue-class index is not a positive integer."""

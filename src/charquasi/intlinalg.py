@@ -61,7 +61,7 @@ from functools import lru_cache, reduce
 from .arrangements import IntMatrix, _Value
 # Kept because TRACED in bench/tracing.py looks known_period up in this module.
 from .arrangements import known_period
-from .errors import IndexOutOfRange, TooManyColumns
+from .errors import CharQuasiError, IndexOutOfRange, TooManyColumns
 
 # Widest matrix lcm_period accepts without a cap.
 FULL_ENUMERATION_LIMIT = 24
@@ -78,10 +78,10 @@ class ElementaryDivisors(_Value):
     def __init__(self, divisors: Iterable[int]) -> None:
         divs = tuple(operator.index(v) for v in divisors)
         if any(v < 1 for v in divs):
-            raise ValueError("elementary divisors must be positive")
+            raise CharQuasiError("elementary divisors must be positive")
         for a, b in zip(divs, divs[1:]):
             if b % a:
-                raise ValueError("elementary divisors must form a chain")
+                raise CharQuasiError("elementary divisors must form a chain")
         object.__setattr__(self, "divisors", divs)
 
 
@@ -121,12 +121,12 @@ def smith_divisors(mat: IntMatrix) -> ElementaryDivisors:
 def column_submatrix(mat: IntMatrix, indices: Iterable[int]) -> IntMatrix:
     """Submatrix of the 1-based columns J, in increasing index order.
 
-    Raises IndexOutOfRange when an index falls outside 1..n and ValueError
+    Raises IndexOutOfRange when an index falls outside 1..n and CharQuasiError
     for an empty index set.  Kept because bench/inputs.py:naive_period calls it.
     """
     J = sorted({operator.index(j) for j in indices})
     if not J:
-        raise ValueError("column index set must be nonempty")
+        raise CharQuasiError("column index set must be nonempty")
     if J[0] < 1 or J[-1] > mat.cols:
         raise IndexOutOfRange(
             f"column indices must lie in 1..{mat.cols}, got {J[0] if J[0] < 1 else J[-1]}"
@@ -269,7 +269,7 @@ def lcm_period(mat: IntMatrix, max_subset_size: int | None = None) -> PeriodResu
     else:
         cap = operator.index(max_subset_size)
         if cap < 1:
-            raise ValueError("max_subset_size must be >= 1")
+            raise CharQuasiError("max_subset_size must be >= 1")
     top = min(cap, rank)
     # Lattices of independent sets, with their rank; those of rank top are
     # never extended, and only their last divisor is kept.

@@ -2,15 +2,15 @@
 
 Interpolation and the closed forms both return these values, so they live
 apart from either: a closed-form listing loads this module and never the
-counting layer it is checked against.  The module imports only the value base class and the residue
-error.
+counting layer it is checked against.  The module imports only the value
+base class and two errors.
 """
 
 import operator
 from collections.abc import Iterable
 
 from .arrangements import _Value
-from .errors import InvalidResidue
+from .errors import CharQuasiError, InvalidResidue
 
 
 class Polynomial(_Value):
@@ -122,9 +122,9 @@ class QuasiPolynomial(_Value):
         period = operator.index(period)
         constituents = tuple(constituents)
         if period < 1:
-            raise ValueError("period must be >= 1")
+            raise CharQuasiError("period must be >= 1")
         if len(constituents) != period:
-            raise ValueError(
+            raise CharQuasiError(
                 f"need exactly {period} constituents, got {len(constituents)}"
             )
         # Closed forms hand rho references to the few constituents of the
@@ -132,9 +132,9 @@ class QuasiPolynomial(_Value):
         # once here and formatted once by __str__.
         distinct = {id(p): p for p in constituents}.values()
         if len({p.degree for p in distinct}) != 1:
-            raise ValueError("constituents must share one degree")
+            raise CharQuasiError("constituents must share one degree")
         if not all(p.is_monic for p in distinct):
-            raise ValueError("constituents must be monic")
+            raise CharQuasiError("constituents must be monic")
         object.__setattr__(self, "period", period)
         object.__setattr__(self, "constituents", constituents)
 

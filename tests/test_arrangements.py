@@ -99,8 +99,7 @@ class TestDeformSpec:
 
     def test_r_out_of_range(self):
         # The one r check: r > t is never the count of even entries.
-        # InvalidParity is a ValueError, so callers catching ValueError
-        # still catch it.
+        # Like every refusal of the package, it is a ValueError.
         with pytest.raises(InvalidParity) as exc:
             DeformSpec(2, (2,), 2)
         assert issubclass(InvalidParity, ValueError)

@@ -190,6 +190,24 @@ class TestPeriod:
         assert code == 2 and err
 
 
+@pytest.mark.parametrize(
+    "command",
+    [
+        ("period",),
+        ("count", "--method", "snf", "--q", "5"),
+        ("quasi", "--method", "interpolate"),
+    ],
+)
+def test_undecodable_matrix_file_exits_2(capsys, tmp_path, command):
+    # The standard library's own ValueError (here a UnicodeDecodeError) is
+    # reported like the package's refusals.
+    path = tmp_path / "bad.txt"
+    path.write_bytes(b"2 2\n1 0\n0 \xff\n")
+    code, out, err = run_cli(capsys, command[0], str(path), *command[1:])
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
 class TestCount:
     def test_brute(self, capsys, b2_file):
         code, out, _ = run_cli(capsys, "count", b2_file, "--q", "5")
@@ -501,6 +519,28 @@ class TestVerify:
         assert (code, out) == (2, "")
         assert err.startswith("error: 40^5")
         assert (calls["brute_force_count"], calls["snf_count"]) == (1, 0)
+
+    @pytest.mark.parametrize("family", ["B", "C", "Adeform"])
+    def test_qmax_over_the_listing_limit_refused_before_any_count(
+        self, capsys, monkeypatch, family
+    ):
+        # A one-dimensional family passes the point budget at any qmax up to
+        # 10^8; the listing limit bounds the rows, as it bounds quasi's.
+        calls = count_calls(monkeypatch, counting, "brute_force_count", "snf_count")
+        code, out, err = run_cli(
+            capsys, "verify", "--family", family, "--m", "1", "--qmax", "1000001"
+        )
+        assert (code, out, sum(calls.values())) == (2, "", 0)
+        assert err == (
+            "error: --qmax 1000001 is over the listing limit of 1000000 rows; "
+            "count single moduli with 'count --q N'\n"
+        )
+
+    def test_qmax_at_the_listing_limit_is_counted(self, monkeypatch):
+        # qmax = 10^6 is admitted: verify goes on to its first count.
+        monkeypatch.setattr(counting, "brute_force_count", _no_count)
+        with pytest.raises(AssertionError, match="brute_force_count ran"):
+            main(["verify", "--family", "B", "--m", "1", "--qmax", "1000000"])
 
     def test_huge_period_checks_only_qmax_moduli(self, capsys):
         # rho = 10^7: building the rho-long quasi-polynomial took seconds.

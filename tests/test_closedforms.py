@@ -12,6 +12,7 @@ import math
 import pytest
 
 from charquasi import (
+    CharQuasiError,
     DeformSpec,
     EmptyArrangement,
     InvalidResidue,
@@ -461,10 +462,10 @@ class TestChiDeformDTm:
 # Specs that are not arrangements of the family, and the error each names.
 NOT_ARRANGEMENTS = [
     ("Ddeform", DeformSpec(1, (), 0), EmptyArrangement),
-    ("Ddeform", DeformSpec(1, (3,), 0), ValueError),
+    ("Ddeform", DeformSpec(1, (3,), 0), CharQuasiError),
     ("Adeform", DeformSpec(1), EmptyArrangement),
-    ("Ddeform", DeformSpec(1, (2,)), ValueError),
-    ("Bdeform", DeformSpec(2, (2,)), ValueError),
+    ("Ddeform", DeformSpec(1, (2,)), CharQuasiError),
+    ("Bdeform", DeformSpec(2, (2,)), CharQuasiError),
 ]
 
 

@@ -302,8 +302,8 @@ class TestQuasiPolynomial:
             QuasiPolynomial(0, ())
 
     def test_rejects_bad_residue(self):
-        # The package's one residue-index check.  InvalidResidue is a
-        # ValueError, so callers catching ValueError keep working.
+        # The package's one residue-index check.  Like every refusal of
+        # the package, it is a ValueError.
         qp = chi_coxeter("B", 2)
         for bad in (0, -3, 1.5, "1"):
             with pytest.raises(InvalidResidue):

@@ -8,6 +8,7 @@ import json
 import pickle
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -20,10 +21,12 @@ from charquasi import (
     PeriodResult,
     Polynomial,
     QuasiPolynomial,
+    format_matrix,
     gen_coxeter,
     lcm_period,
     snf_count,
 )
+from charquasi import cli
 from charquasi.intlinalg import _lattice_table
 
 from conftest import child_env
@@ -103,6 +106,75 @@ def test_benchmark_traced_names_resolve():
         layer = importlib.import_module(f"charquasi.{module}")
         for name in names:
             assert callable(getattr(layer, name, None)), f"{module}.{name}"
+
+
+def _spy_traced(monkeypatch) -> Counter:
+    """Count the calls of every traced function, wrapped in every namespace
+    that binds it, as the tracer wraps them."""
+    calls: Counter = Counter()
+    spies = {}
+    traced = _traced_names()
+    for module, names in traced.items():
+        layer = importlib.import_module(f"charquasi.{module}")
+        for name in names:
+            func = getattr(layer, name)
+
+            def spy(*args, _name=f"{module}.{name}", _func=func, **kwargs):
+                calls[_name] += 1
+                return _func(*args, **kwargs)
+
+            spies[id(func)] = spy
+    for namespace in ("charquasi", *(f"charquasi.{module}" for module in traced)):
+        module = importlib.import_module(namespace)
+        for attr, value in list(vars(module).items()):
+            if id(value) in spies:
+                monkeypatch.setattr(module, attr, spies[id(value)])
+    return calls
+
+
+@pytest.mark.parametrize(
+    "argv, reached",
+    [
+        (("period", "FILE"), {"intlinalg.lcm_period"}),
+        (("count", "FILE", "--method", "snf", "--q", "5"), {"counting.snf_count"}),
+        (
+            ("quasi", "FILE", "--method", "interpolate"),
+            {
+                "arrangements.parse_matrix",
+                "intlinalg.lcm_period",
+                "counting.interpolate_quasi",
+                "counting.brute_force_count",
+            },
+        ),
+        (
+            ("quasi", "--family", "Ddeform", "--m", "3", "--s", "6,3,1", "--method",
+             "closed-form"),
+            {"closedforms.chi_deform_d"},
+        ),
+        (
+            ("verify", "--family", "Adeform", "--m", "2", "--s", "2,1", "--qmax", "3"),
+            {
+                "arrangements.gen_deform_a",
+                "counting.brute_force_count",
+                "counting.snf_count",
+                "closedforms.chi_deform_a",
+            },
+        ),
+    ],
+    ids=["period", "count-snf", "quasi-interpolate", "quasi-closed-form", "verify"],
+)
+def test_benchmarked_commands_reach_their_traced_functions(
+    monkeypatch, capsys, tmp_path, argv, reached
+):
+    # A route around a traced function (say gen_deform not reaching
+    # gen_deform_a) keeps every answer but zeroes that layer's metric.
+    path = tmp_path / "b2.txt"
+    path.write_text(format_matrix(gen_coxeter("B", 2)))
+    calls = _spy_traced(monkeypatch)
+    assert cli.main([str(path) if arg == "FILE" else arg for arg in argv]) == 0
+    capsys.readouterr()
+    assert calls["cli.main"] == 1
+    assert reached <= set(calls), sorted(calls)
 
 
 _P1 = Polynomial((3, -4, 1))
