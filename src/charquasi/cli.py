@@ -104,7 +104,7 @@ def _family_from_args(args: argparse.Namespace) -> tuple[str, str, DeformSpec]:
 
 
 def _read_matrix(path: str) -> IntMatrix:
-    with open(path) as fh:
+    with open(path, encoding="utf-8") as fh:
         return parse_matrix(fh.read())
 
 
@@ -169,7 +169,7 @@ def cmd_quasi(args: argparse.Namespace) -> int:
 
 def cmd_verify(args: argparse.Namespace) -> int:
     from .closedforms import chi_deform
-    from .counting import brute_force_count, snf_count
+    from .counting import brute_force_count, check_point_budget, snf_count
 
     if args.qmax < 1:
         raise CharQuasiError("--qmax must be >= 1")
@@ -182,11 +182,10 @@ def cmd_verify(args: argparse.Namespace) -> int:
     label, family, spec = _family_from_args(args)
     mat = gen_deform(family, spec)
     rho = known_period(spec, family)
+    check_point_budget(args.qmax, mat.rows)
     # Only qmax constituents are needed, never the rho-long quasi-polynomial;
-    # chi reduces each modulus q to its class itself.  Rows are counted from
-    # q = qmax down, so an over-budget qmax is refused before any count, and
-    # listed ascending.  The verdict is 'pass' exactly when the three counts
-    # agree in every row.
+    # chi reduces each modulus q to its class itself.  The verdict is 'pass'
+    # exactly when the three counts agree in every row.
     rows = [
         {
             "q": q,
@@ -194,8 +193,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
             "snf": snf_count(mat, q),
             "closed": chi_deform(family, spec, q)(q),
         }
-        for q in range(args.qmax, 0, -1)
-    ][::-1]
+        for q in range(1, args.qmax + 1)
+    ]
     agree = all(row["brute"] == row["snf"] == row["closed"] for row in rows)
     verdict = "pass" if agree else "fail"
     ms = round((time.perf_counter() - started) * 1000)

@@ -41,6 +41,22 @@ DEFAULT_POINT_BUDGET = 10**8
 _TABLE_BITS = 1 << 20
 
 
+def check_point_budget(q: int, m: int, budget: int = DEFAULT_POINT_BUDGET) -> None:
+    """Raise BudgetExceeded when the q^m points of one count exceed budget.
+
+    The one point-budget check: brute_force_count makes it on every count,
+    and interpolate_quasi and the verify command make it on their largest
+    modulus before any count.
+    """
+    if q**m > budget:
+        raise BudgetExceeded(
+            f"{q}^{m} = {q**m} points exceed the budget of {budget}; raise it with "
+            "the budget= argument of brute_force_count or interpolate_quasi, or "
+            "count with snf_count (charquasi count --method snf), which has no "
+            "point budget"
+        )
+
+
 def brute_force_count(mat: IntMatrix, q: int, budget: int = DEFAULT_POINT_BUDGET) -> int:
     """|M_S(q)| by enumerating all q^m points, many per machine word.
 
@@ -72,13 +88,7 @@ def brute_force_count(mat: IntMatrix, q: int, budget: int = DEFAULT_POINT_BUDGET
     if q < 1:
         raise CharQuasiError("modulus q must be >= 1")
     m, n = mat.rows, mat.cols
-    if q**m > budget:
-        raise BudgetExceeded(
-            f"{q}^{m} = {q**m} points exceed the budget of {budget}; raise it with "
-            "the budget= argument of brute_force_count or interpolate_quasi, or "
-            "count with snf_count (charquasi count --method snf), which has no "
-            "point budget"
-        )
+    check_point_budget(q, m, budget)
     rows = [[v % q for v in row] for row in mat.entries]
     # k grows while a column table keeps at least two values of the top
     # block coordinate; top is how many it keeps.
@@ -249,21 +259,22 @@ def interpolate_quasi(
 
     Per residue class k in 1..period the first m + 1 sample moduli
     q = k + period*j, j = 0..m, are counted by brute_force_count (each
-    within budget) and interpolated exactly.  The classes run from period
-    down to 1 and each class's samples from largest to smallest, so the
-    first count is the largest modulus, period*(m + 1): a period over the
-    point budget raises BudgetExceeded naming it before any other count.
+    within budget) and interpolated exactly.  The largest modulus,
+    period*(m + 1), is checked before any count: a period over the point
+    budget raises BudgetExceeded naming it.
     q = 1 is a valid sample of class 1: its constituent
     sum_J (-1)^|J| q^(m - rank J) is 0 there, as is the count.  A wrong
     period surfaces as NotIntegral or NotMonic, never as a silently wrong
     result.  A period below 1 samples no class and is refused by
     QuasiPolynomial.
     """
-    m = mat.rows
+    period, m = operator.index(period), mat.rows
+    if period >= 1:
+        check_point_budget(period * (m + 1), m, budget)
     constituents = []
-    for k in range(period, 0, -1):
+    for k in range(1, period + 1):
         xs = [k + period * j for j in range(m + 1)]
-        ys = [brute_force_count(mat, x, budget) for x in reversed(xs)][::-1]
+        ys = [brute_force_count(mat, x, budget) for x in xs]
         poly = _newton_integer_poly(xs, ys)
         if poly.degree != m or not poly.is_monic:
             raise NotMonic(
@@ -271,7 +282,7 @@ def interpolate_quasi(
                 f"not monic of degree {m}"
             )
         constituents.append(poly)
-    return QuasiPolynomial(period, reversed(constituents))
+    return QuasiPolynomial(period, constituents)
 
 
 def verify_minimum_period(qp: QuasiPolynomial) -> bool:

@@ -48,8 +48,8 @@ class BudgetExceeded(CharQuasiError):
 
     The budget= argument of brute_force_count and interpolate_quasi lifts
     it; it is brute force's only limit.  snf_count has no point budget.
-    interpolate_quasi and the verify command count their largest modulus
-    first, so they raise it before any other count.
+    interpolate_quasi and the verify command check their largest modulus
+    against it before any count.
     """
 
 

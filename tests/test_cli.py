@@ -7,10 +7,11 @@ import re
 import subprocess
 import sys
 import time
-from contextlib import redirect_stdout
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
 from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import charquasi
 from charquasi import (
@@ -206,6 +207,39 @@ def test_undecodable_matrix_file_exits_2(capsys, tmp_path, command):
     code, out, err = run_cli(capsys, command[0], str(path), *command[1:])
     assert (code, out) == (2, "")
     assert err.startswith("error: ") and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "command, listing",
+    [
+        (("period",), "rho = 1\n"),
+        (("quasi", "--method", "interpolate"), "period 1\nk=1: q - 1\n"),
+    ],
+    ids=["period", "quasi"],
+)
+def test_matrix_file_is_read_as_utf8_in_the_c_locale(tmp_path, command, listing):
+    # The C locale with UTF-8 mode off decodes text as ASCII; a matrix file
+    # is UTF-8 whatever the locale, so an em dash in a comment parses and a
+    # file that is not UTF-8 still exits 2.
+    env = {**child_env(), "LC_ALL": "C", "PYTHONUTF8": "0"}
+    files = {
+        "b1.txt": "# B1 \u2014 one hyperplane\n1 1\n1\n".encode(),
+        "bad.txt": b"1 1\n\xff\n",
+    }
+    procs = {}
+    for name, text in files.items():
+        (tmp_path / name).write_bytes(text)
+        procs[name] = subprocess.run(
+            [sys.executable, "-m", "charquasi.cli", command[0], str(tmp_path / name),
+             *command[1:]],
+            capture_output=True,
+            text=True,
+            env=env,
+        )
+    good, bad = procs["b1.txt"], procs["bad.txt"]
+    assert (good.returncode, good.stdout, good.stderr) == (0, listing, "")
+    assert (bad.returncode, bad.stdout) == (2, "")
+    assert bad.stderr.startswith("error: 'utf-8' codec can't decode byte 0xff")
 
 
 class TestCount:
@@ -490,6 +524,34 @@ class TestVerify:
         )
         assert code == 2 and err
 
+    def test_negative_qmax_refused_before_the_point_budget(self, capsys):
+        # (-10^5)^2 points are over the point budget; the < 1 refusal comes
+        # first.
+        code, out, err = run_cli(
+            capsys, "verify", "--family", "B", "--m", "2", "--qmax", "-100000"
+        )
+        assert (code, out, err) == (2, "", "error: --qmax must be >= 1\n")
+
+    @given(st.sampled_from(["B", "D"]), st.integers(2, 6), st.integers(1, 120))
+    @settings(max_examples=60, deadline=None)
+    def test_counts_every_modulus_once_in_order_or_none(self, family, m, qmax):
+        # Recording counters, and the real check against the default budget
+        # of 10^8, which qmax^m straddles for m = 4..6: either no count runs,
+        # or each counter sees q = 1..qmax once, ascending.
+        seen = {"brute_force_count": [], "snf_count": []}
+        with pytest.MonkeyPatch.context() as mp:
+            for name, qs in seen.items():
+                mp.setattr(counting, name, lambda mat, q, _qs=qs: _qs.append(q) or 0)
+            with redirect_stdout(io.StringIO()) as out, redirect_stderr(io.StringIO()):
+                code = main(
+                    ["verify", "--family", family, "--m", str(m), "--qmax", str(qmax)]
+                )
+        if qmax**m > counting.DEFAULT_POINT_BUDGET:
+            assert (code, out.getvalue(), seen) == (2, "", {name: [] for name in seen})
+        else:
+            assert code in (0, 1)
+            assert seen == {name: list(range(1, qmax + 1)) for name in seen}
+
     def test_invalid_spec_exits_2(self, capsys):
         code, _, err = run_cli(
             capsys, "verify", "--family", "Ddeform", "--m", "2", "--s", "3,2",
@@ -509,16 +571,15 @@ class TestVerify:
         assert "verdict: fail" in out
 
     def test_over_budget_qmax_refused_before_any_other_count(self, capsys, monkeypatch):
-        # Rows are counted from q = qmax down: 40^5 points are over the
-        # default budget, so the first brute call refuses, before any
-        # snf_count.
+        # qmax is checked against the point budget before any count: 40^5
+        # points are over the default budget.
         calls = count_calls(monkeypatch, counting, "brute_force_count", "snf_count")
         code, out, err = run_cli(
             capsys, "verify", "--family", "B", "--m", "5", "--qmax", "40"
         )
         assert (code, out) == (2, "")
         assert err.startswith("error: 40^5")
-        assert (calls["brute_force_count"], calls["snf_count"]) == (1, 0)
+        assert (calls["brute_force_count"], calls["snf_count"]) == (0, 0)
 
     @pytest.mark.parametrize("family", ["B", "C", "Adeform"])
     def test_qmax_over_the_listing_limit_refused_before_any_count(

@@ -633,23 +633,54 @@ class TestInterpolation:
             interpolate_quasi(gen_coxeter("B", 2), 1)
 
     def test_rejects_bad_period(self):
-        # No class is sampled; QuasiPolynomial refuses the period.
-        for bad in (0, -2):
+        # No class is sampled; QuasiPolynomial refuses the period.  The
+        # point budget is checked only for a period >= 1: at -10**5 the
+        # largest sample would hold (-3 * 10**5)^2 points, over the default.
+        for bad in (0, -2, -10**5):
             with pytest.raises(ValueError, match="period must be >= 1"):
                 interpolate_quasi(gen_coxeter("B", 2), bad)
+
+    @pytest.mark.parametrize("bad", [2.0, 1e10, "3"])
+    def test_non_integer_period_is_a_type_error(self, bad):
+        # Refused as a type before the budget check reads it: 1e10 would be
+        # over the point budget.
+        with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+            interpolate_quasi(gen_coxeter("B", 2), bad)
 
     def test_budget_propagates(self):
         with pytest.raises(BudgetExceeded):
             interpolate_quasi(gen_coxeter("B", 2), 2, budget=10)
 
     def test_over_budget_period_refused_before_any_other_count(self, monkeypatch):
-        # The first count is the largest modulus, rho * (m + 1) = 104, so
-        # the kernel's budget check refuses it before any other count.
+        # The largest modulus, rho * (m + 1) = 104, is checked against the
+        # point budget before any count.
         calls = count_calls(monkeypatch, counting, "brute_force_count")
         with pytest.raises(BudgetExceeded) as exc:
             interpolate_quasi(gen_deform_a(DeformSpec(3, (26, 13))), 26, budget=10**6)
-        assert calls["brute_force_count"] == 1
+        assert calls["brute_force_count"] == 0
         assert str(exc.value).startswith("104^3")
+
+    @given(int_matrices(max_rows=3, max_cols=4, max_abs=3), st.integers(1, 3000))
+    @settings(max_examples=60, deadline=None)
+    def test_counts_every_sample_once_in_order_or_none(self, mat, budget):
+        # Classes 1..rho in turn, each from its smallest sample up, so each
+        # q in 1..rho * (m + 1) is counted once; over the budget, none is.
+        m, rho = mat.rows, lcm_period(mat).value
+        seen = []
+
+        def counted(mat, q, budget, _count=brute_force_count):
+            seen.append(q)
+            return _count(mat, q, budget)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(counting, "brute_force_count", counted)
+            try:
+                interpolate_quasi(mat, rho, budget)
+            except BudgetExceeded:
+                assert (seen, (rho * (m + 1)) ** m > budget) == ([], True)
+                return
+        assert seen == [k + rho * j for k in range(1, rho + 1) for j in range(m + 1)]
+        assert sorted(seen) == list(range(1, rho * (m + 1) + 1))
 
     def test_lagrange_exact(self):
         poly = _newton_integer_poly([2, 3, 4], [0, 0, 4])

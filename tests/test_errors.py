@@ -115,7 +115,7 @@ REFUSALS = [
          "snf_count (charquasi count --method snf), which has no point budget",
          BudgetExceeded),
     _row("NotIntegral", lambda: interpolate_quasi(B2, 3),
-         "divided difference 32/3 over q = 6..9 is not an integer", NotIntegral),
+         "divided difference 20/3 over q = 4..7 is not an integer", NotIntegral),
     _row("NotMonic", lambda: interpolate_quasi(B2, 1),
          "residue class 1 interpolates to 0, not monic of degree 2", NotMonic),
     _row("cli-family-m", lambda: _cli("gen", "--family", "B"), "--family needs --m"),
