@@ -29,7 +29,6 @@ _EXPORTS = {
     ),
     "counting": (
         "brute_force_count",
-        "check_gcd_property",
         "interpolate_quasi",
         "snf_count",
         "verify_minimum_period",

@@ -44,9 +44,9 @@ from .arrangements import (
 from .errors import CharQuasiError
 
 # The longest listing quasi or verify writes, checked before any count.  At
-# rho = 10**6 the closed form for m = 1..3 takes about 1 s and 125-175 MB and
-# writes 16-33 MB of text; interpolating m = 1 takes about 400 s, as the point
-# budget bounds each count, not their sum.  verify writes one row per modulus.
+# rho = 10**6 the closed form for m = 1..3 takes about 0.5 s and 115-175 MB
+# and writes 16-33 MB of text; interpolating m = 1 makes 2 * 49 counts, one
+# pair per divisor of rho, in about 0.5 s.  verify writes one row per modulus.
 LISTING_LIMIT = 10**6
 
 

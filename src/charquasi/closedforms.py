@@ -13,9 +13,10 @@ Residue-class indices k are reduced through the gcd property: constituents
 of a quasi-polynomial with minimum period rho agree whenever the indices
 share a gcd with rho, so any positive k is mapped to k' = gcd(rho, k) (with
 k' = rho covering the class q = 0 mod rho).  This also makes the deformation
-formulas directly evaluable at raw moduli q.  The index is checked as
-QuasiPolynomial checks it: anything but a positive integer raises
-InvalidResidue.
+formulas directly evaluable at raw moduli q, and it is why a whole
+quasi-polynomial needs one evaluation per divisor of rho, the constituents
+QuasiPolynomial stores.  The index is checked as QuasiPolynomial checks it:
+anything but a positive integer raises InvalidResidue.
 
 One pitfall is documented here because it is easy to reintroduce: in the
 even-residue type-D formula the correction sum's first inner product runs
@@ -30,7 +31,7 @@ import math
 from collections.abc import Sequence
 
 from .arrangements import DeformSpec, coxeter_spec, known_period
-from .polynomials import Polynomial, QuasiPolynomial, _residue_index
+from .polynomials import Polynomial, QuasiPolynomial, _residue_index, divisors
 
 
 def chi_coxeter(family: str, m: int) -> QuasiPolynomial:
@@ -47,12 +48,11 @@ def chi_coxeter(family: str, m: int) -> QuasiPolynomial:
 def deform_quasi(family: str, spec: DeformSpec) -> QuasiPolynomial:
     """The whole closed-form quasi-polynomial of Adeform or Ddeform.
 
-    A constituent depends on k only through gcd(k, rho), so each divisor
-    of the period rho is evaluated once and its classes share the result.
+    The formula is evaluated once per divisor of the period rho, which is
+    what QuasiPolynomial stores.
     """
     rho = known_period(spec, family)
-    by_gcd = {g: chi_deform(family, spec, g) for g in range(1, rho + 1) if rho % g == 0}
-    return QuasiPolynomial(rho, (by_gcd[math.gcd(k, rho)] for k in range(1, rho + 1)))
+    return QuasiPolynomial(rho, (chi_deform(family, spec, g) for g in divisors(rho)))
 
 
 def chi_deform(family: str, spec: DeformSpec, k: int) -> Polynomial:

@@ -22,8 +22,8 @@ the two generic counters plus exact interpolation:
     signed subset count, not over the 2^n subsets.
   * interpolate_quasi: exact Newton interpolation in integers (divided
     differences, each division checked to be exact) of one degree-m
-    constituent per residue class mod a given period, from m + 1
-    brute-force counts per class.
+    constituent per divisor of a given period, from m + 1 brute-force
+    counts per divisor.
 
 The results are the exact types of the polynomials module; they are bound
 here too, so `from charquasi.counting import Polynomial` keeps working.
@@ -35,7 +35,7 @@ from functools import reduce
 
 from .arrangements import IntMatrix
 from .errors import BudgetExceeded, CharQuasiError, NotIntegral, NotMonic
-from .polynomials import Polynomial, QuasiPolynomial
+from .polynomials import Polynomial, QuasiPolynomial, divisors
 
 DEFAULT_POINT_BUDGET = 10**8
 _TABLE_BITS = 1 << 20
@@ -255,30 +255,34 @@ def _newton_integer_poly(xs: list[int], ys: list[int]) -> Polynomial:
 def interpolate_quasi(
     mat: IntMatrix, period: int, budget: int = DEFAULT_POINT_BUDGET
 ) -> QuasiPolynomial:
-    """Interpolate the quasi-polynomial of the matrix for a given period.
+    """Interpolate the quasi-polynomial of the matrix for a given period P.
 
-    Per residue class k in 1..period the first m + 1 sample moduli
-    q = k + period*j, j = 0..m, are counted by brute_force_count (each
-    within budget) and interpolated exactly.  The largest modulus,
-    period*(m + 1), is checked before any count: a period over the point
-    budget raises BudgetExceeded naming it.
+    A constituent depends on q only through gcd(q, P), so one class per
+    divisor g of P is fitted, in increasing order: its first m + 1 sample
+    moduli q = g + P*j, j = 0..m, all with gcd(q, P) = g, are counted by
+    brute_force_count (each within budget) and interpolated exactly.  The
+    largest modulus, P*(m + 1), is checked before any count: a period over
+    the point budget raises BudgetExceeded naming it.
     q = 1 is a valid sample of class 1: its constituent
-    sum_J (-1)^|J| q^(m - rank J) is 0 there, as is the count.  A wrong
-    period surfaces as NotIntegral or NotMonic, never as a silently wrong
-    result.  A period below 1 samples no class and is refused by
-    QuasiPolynomial.
+    sum_J (-1)^|J| q^(m - rank J) is 0 there, as is the count.
+
+    The result is exact when P is a multiple of the minimum period (such
+    as lcm_period's value).  Any other P may be refused, as NotIntegral or
+    NotMonic naming the lowest class that fails, or may give a wrong
+    result: P = 1 for the one hyperplane 3x = 0 gives q - 1.  A period
+    below 1 samples no class and is refused by QuasiPolynomial.
     """
     period, m = operator.index(period), mat.rows
     if period >= 1:
         check_point_budget(period * (m + 1), m, budget)
     constituents = []
-    for k in range(1, period + 1):
-        xs = [k + period * j for j in range(m + 1)]
+    for g in divisors(period):
+        xs = [g + period * j for j in range(m + 1)]
         ys = [brute_force_count(mat, x, budget) for x in xs]
         poly = _newton_integer_poly(xs, ys)
         if poly.degree != m or not poly.is_monic:
             raise NotMonic(
-                f"residue class {k} interpolates to {poly}, "
+                f"residue class {g} interpolates to {poly}, "
                 f"not monic of degree {m}"
             )
         constituents.append(poly)
@@ -288,30 +292,14 @@ def interpolate_quasi(
 def verify_minimum_period(qp: QuasiPolynomial) -> bool:
     """True when no proper divisor of the period also works as a period.
 
-    A multiple of a period d | rho that divides rho is again a period, so
-    it is enough to try rho / p for each prime p dividing rho.
+    Write C(g) for the constituent of the classes k with gcd(k, rho) = g.
+    A divisor d of rho is a period exactly when C(g) = C(gcd(g, d)) for
+    every divisor g of rho: some class of gcd g is congruent to gcd(g, d)
+    mod d, and conversely the condition makes the constituent of k depend
+    on gcd(k, d) alone.
     """
-    rho, cs = qp.period, qp.constituents
-    rest, p = rho, 2
-    while rest > 1:
-        if p * p > rest:
-            p = rest
-        if rest % p == 0:
-            d = rho // p
-            if all(cs[k] == cs[k % d] for k in range(rho)):
-                return False
-            while rest % p == 0:
-                rest //= p
-        p += 1
-    return True
-
-
-def check_gcd_property(qp: QuasiPolynomial) -> bool:
-    """True when constituents depend only on gcd(period, k).
-
-    The first class with gcd g is g itself, so each class is compared
-    with the class of its gcd.  Class rho is left out: gcd(rho, rho) = rho,
-    so it would be compared with itself.
-    """
-    rho = qp.period
-    return all(qp.constituent(k) == qp.constituent(math.gcd(k, rho)) for k in range(1, rho))
+    gcds = divisors(qp.period)
+    by_gcd = dict(zip(gcds, qp.constituents))
+    return not any(
+        all(by_gcd[g] == by_gcd[math.gcd(g, d)] for g in gcds) for d in gcds[:-1]
+    )

@@ -1,4 +1,7 @@
-"""The exact result types: Polynomial and QuasiPolynomial.
+"""The exact result types, Polynomial and QuasiPolynomial, and divisors(n).
+
+A quasi-polynomial keeps one constituent per divisor of its period, in the
+order divisors() gives.
 
 Interpolation and the closed forms both return these values, so they live
 apart from either: a closed-form listing loads this module and never the
@@ -6,6 +9,8 @@ counting layer it is checked against.  The module imports only the value
 base class and two errors.
 """
 
+import functools
+import math
 import operator
 from collections.abc import Iterable
 
@@ -108,12 +113,15 @@ class Polynomial(_Value):
 
 
 class QuasiPolynomial(_Value):
-    """One monic degree-m constituent per residue class modulo the period.
+    """One monic degree-m constituent per divisor of the period.
 
-    constituents[k-1] applies to q = k (mod period), where the residue index
-    runs over 1..period and index period covers q = 0 (mod period).  A
-    residue index is any positive integer; anything else raises
-    InvalidResidue.  str() gives the listing that `charquasi quasi` prints.
+    A constituent depends on the residue class k only through
+    gcd(k, period), the gcd property of Kamiya-Takemura-Terao, so the type
+    stores it once per divisor: constituents[i] applies to every q with
+    gcd(q, period) == divisors(period)[i].  For period 1 or 2 that is the
+    class tuple itself.  A residue index is any positive integer; anything
+    else raises InvalidResidue.  str() gives the listing that `charquasi
+    quasi` prints, one line per class k = 1..period.
     """
 
     __slots__ = ("period", "constituents")
@@ -123,35 +131,40 @@ class QuasiPolynomial(_Value):
         constituents = tuple(constituents)
         if period < 1:
             raise CharQuasiError("period must be >= 1")
-        if len(constituents) != period:
-            raise CharQuasiError(
-                f"need exactly {period} constituents, got {len(constituents)}"
-            )
-        # Closed forms hand rho references to the few constituents of the
-        # divisors of rho; values are immutable, so each object is checked
-        # once here and formatted once by __str__.
-        distinct = {id(p): p for p in constituents}.values()
-        if len({p.degree for p in distinct}) != 1:
+        need = len(divisors(period))
+        if len(constituents) != need:
+            raise CharQuasiError(f"need exactly {need} constituents, got {len(constituents)}")
+        if len({p.degree for p in constituents}) != 1:
             raise CharQuasiError("constituents must share one degree")
-        if not all(p.is_monic for p in distinct):
+        if not all(p.is_monic for p in constituents):
             raise CharQuasiError("constituents must be monic")
         object.__setattr__(self, "period", period)
         object.__setattr__(self, "constituents", constituents)
 
     def constituent(self, k: int) -> Polynomial:
         """Constituent of the residue class of k (any positive integer)."""
-        return self.constituents[(_residue_index(k) - 1) % self.period]
+        g = math.gcd(_residue_index(k), self.period)
+        return self.constituents[divisors(self.period).index(g)]
 
     def __call__(self, q: int) -> int:
         return self.constituent(q)(q)
 
     def __str__(self) -> str:
         """The listing: 'period <rho>', then 'k=<k>: <constituent>' per class."""
-        distinct = {id(p): p for p in self.constituents}
-        text = {key: str(p) for key, p in distinct.items()}
-        lines = [f"period {self.period}"]
-        lines += (f"k={k}: {text[id(p)]}" for k, p in enumerate(self.constituents, 1))
+        rho = self.period
+        text = dict(zip(divisors(rho), map(str, self.constituents)))
+        lines = [f"period {rho}"]
+        lines += (f"k={k}: {text[math.gcd(k, rho)]}" for k in range(1, rho + 1))
         return "\n".join(lines) + "\n"
+
+
+# Kept per period: constituent(k) reads it on every call, and it costs
+# O(sqrt(n)) to find.
+@functools.lru_cache(maxsize=64)
+def divisors(n: int) -> tuple[int, ...]:
+    """The positive divisors of n in increasing order; none when n < 1."""
+    low = [d for d in range(1, math.isqrt(max(n, 0)) + 1) if n % d == 0]
+    return tuple(low + [n // d for d in reversed(low) if d * d != n])
 
 
 def _residue_index(k: int) -> int:

@@ -1,4 +1,4 @@
-"""Shared test helpers: matrix generators and lemma-instance builders.
+"""Shared test helpers: matrix generators, oracles and lemma-instance builders.
 
 The two counting lemmas exercised here are statements about subsets of Z_q,
 independent of any arrangement code, so the instance builders below work
@@ -23,7 +23,8 @@ from pathlib import Path
 from hypothesis import strategies as st
 
 import charquasi
-from charquasi import DeformSpec, IntMatrix
+from charquasi import DeformSpec, IntMatrix, brute_force_count
+from charquasi.counting import _newton_integer_poly
 
 # When a @given test fails, hypothesis's pytest plugin imports this module
 # (and libcst) to suggest a patch.  Under filterwarnings = ["error"] a
@@ -61,6 +62,37 @@ def count_calls(monkeypatch, module, *names: str) -> Counter:
 
         monkeypatch.setattr(module, name, counted)
     return calls
+
+
+def interpolate_every_class(mat: IntMatrix, period: int) -> tuple:
+    """Oracle for interpolate_quasi: each class k = 1..period fitted on its own.
+
+    Class k is interpolated from the brute-force counts at k + period*j,
+    j = 0..m, with no use of the gcd property, so gcd_property on the
+    result is a real check of it.  Returns the period-long tuple of
+    constituents, class 1 first.
+    """
+    m = mat.rows
+    fits = []
+    for k in range(1, period + 1):
+        xs = [k + period * j for j in range(m + 1)]
+        fits.append(_newton_integer_poly(xs, [brute_force_count(mat, x) for x in xs]))
+    return tuple(fits)
+
+
+def every_class(qp) -> tuple:
+    """The constituents of a quasi-polynomial for k = 1..period, class 1 first."""
+    return tuple(qp.constituent(k) for k in range(1, qp.period + 1))
+
+
+def gcd_property(constituents) -> bool:
+    """True when a period-long constituent tuple depends on k only through gcd(k, period).
+
+    The first class with gcd g is g itself, so each class is compared with
+    the class of its gcd.
+    """
+    rho = len(constituents)
+    return all(constituents[k - 1] == constituents[math.gcd(k, rho) - 1] for k in range(1, rho))
 
 
 def nonzero_column(rng: random.Random, m: int, lo: int, hi: int) -> list[int]:

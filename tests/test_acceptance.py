@@ -15,9 +15,7 @@ import pytest
 from charquasi import (
     DeformSpec,
     EmptyArrangement,
-    QuasiPolynomial,
     brute_force_count,
-    check_gcd_property,
     chi_coxeter,
     chi_deform_a,
     chi_deform_d,
@@ -33,7 +31,14 @@ from charquasi import (
 )
 from charquasi.closedforms import _even_constituent_d
 
-from conftest import lemma_union_a_instance, lemma_union_d_instance, random_matrix
+from conftest import (
+    every_class,
+    gcd_property,
+    interpolate_every_class,
+    lemma_union_a_instance,
+    lemma_union_d_instance,
+    random_matrix,
+)
 from test_closedforms import overcount_even_constituent_d
 from test_intlinalg import _minor_gcd
 
@@ -220,7 +225,13 @@ def test_criterion_6_period_minimality():
         assert mat.cols <= 24, label
         rho = lcm_period(mat)
         assert rho.exact and rho.value == known, (label, rho, known)
-        assert verify_minimum_period(interpolate_quasi(mat, rho.value)), label
+        # Every class fitted on its own: a too-small period fails the fit or
+        # the gcd property, a too-large one the minimality.
+        fits = interpolate_every_class(mat, rho.value)
+        assert gcd_property(fits), label
+        qp = interpolate_quasi(mat, rho.value)
+        assert every_class(qp) == fits, label
+        assert verify_minimum_period(qp), label
 
 
 @criterion(7, "snf_count equals brute force on random matrices", budget=60.0)
@@ -255,28 +266,24 @@ def test_criterion_8_lemma_property_suites():
 
 @criterion(9, "structural invariants: monic, gcd property, divisor chains")
 def test_criterion_9_structural_invariants():
-    for spec in a_deform_specs():
-        rho = known_period(spec, "Adeform")
-        qp = QuasiPolynomial(
-            rho, tuple(chi_deform_a(spec, k) for k in range(1, rho + 1))
-        )
-        assert all(
-            p.is_monic and p.degree == spec.m for p in qp.constituents
-        ), spec
-        assert check_gcd_property(qp), spec
-    for spec in d_deform_specs():
-        rho = known_period(spec, "Ddeform")
-        qp = QuasiPolynomial(
-            rho, tuple(chi_deform_d(spec, k) for k in range(1, rho + 1))
-        )
-        assert all(
-            p.is_monic and p.degree == spec.m for p in qp.constituents
-        ), spec
-        assert check_gcd_property(qp), spec
+    # The formulas evaluated at every class k = 1..rho, and the Coxeter
+    # counts fitted at every class: each on its own, so the gcd property is
+    # checked, not assumed.
+    for family, specs, chi in (
+        ("Adeform", a_deform_specs(), chi_deform_a),
+        ("Ddeform", d_deform_specs(), chi_deform_d),
+    ):
+        for spec in specs:
+            rho = known_period(spec, family)
+            polys = tuple(chi(spec, k) for k in range(1, rho + 1))
+            assert all(p.is_monic and p.degree == spec.m for p in polys), spec
+            assert gcd_property(polys), spec
     for family, m in [(f, m) for f in "ABCD" for m in (2, 3, 4)]:
+        fits = interpolate_every_class(gen_coxeter(family, m), 2)
+        assert all(p.is_monic and p.degree == m for p in fits), (family, m)
+        assert gcd_property(fits), (family, m)
         qp = chi_coxeter(family, m)
-        assert all(p.is_monic and p.degree == m for p in qp.constituents)
-        assert check_gcd_property(qp)
+        assert fits == (qp.constituent(1), qp.constituent(2)), (family, m)
 
     rng = random.Random(SEED)
     for _ in range(200):

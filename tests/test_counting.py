@@ -27,7 +27,6 @@ from charquasi import (
     Polynomial,
     QuasiPolynomial,
     brute_force_count,
-    check_gcd_property,
     chi_coxeter,
     deform_quasi,
     gen_coxeter,
@@ -41,9 +40,18 @@ from charquasi import (
 )
 from charquasi import counting
 from charquasi.counting import _TABLE_BITS, _newton_integer_poly
+from charquasi.polynomials import divisors
 from charquasi.intlinalg import _lattice_table
 
-from conftest import EDGE_MATRICES, count_calls, deform_cases, int_matrices
+from conftest import (
+    EDGE_MATRICES,
+    count_calls,
+    deform_cases,
+    every_class,
+    gcd_property,
+    int_matrices,
+    interpolate_every_class,
+)
 
 
 def _plain_count(mat: IntMatrix, q: int) -> int:
@@ -176,26 +184,29 @@ def _sign_examples(test):
 
 
 def _every_divisor_minimum(qp: QuasiPolynomial) -> bool:
-    """Oracle for verify_minimum_period: tries every proper divisor d of rho."""
-    rho = qp.period
+    """Oracle for verify_minimum_period: tries every proper divisor d of rho
+    on the rho-long class sequence, with no use of the gcd property."""
+    rho, cs = qp.period, every_class(qp)
     for d in range(1, rho):
         if rho % d:
             continue
-        if all(
-            qp.constituents[k] == qp.constituents[k % d] for k in range(rho)
-        ):
+        if all(cs[k] == cs[k % d] for k in range(rho)):
             return False
     return True
 
 
 @st.composite
 def _periodic_quasi(draw):
-    """A quasi-polynomial of composite period rho repeating with a drawn d | rho."""
+    """A quasi-polynomial of composite period rho that repeats with a drawn d | rho.
+
+    The constituents of period d, one per divisor of d, are drawn; the
+    divisor g of rho takes the one of gcd(g, d).
+    """
     rho = draw(st.sampled_from([4, 6, 8, 9, 12, 18, 24, 30, 36, 60, 72, 210]))
-    d = draw(st.sampled_from([d for d in range(1, rho + 1) if rho % d == 0]))
-    roots = draw(st.lists(st.integers(0, 2), min_size=d, max_size=d))
-    polys = [Polynomial.from_roots([r]) for r in roots]
-    return QuasiPolynomial(rho, tuple(polys[k % d] for k in range(rho)))
+    d = draw(st.sampled_from(divisors(rho)))
+    roots = draw(st.lists(st.integers(0, 2), min_size=len(divisors(d)), max_size=len(divisors(d))))
+    by_gcd = {g: Polynomial.from_roots([r]) for g, r in zip(divisors(d), roots)}
+    return QuasiPolynomial(rho, tuple(by_gcd[math.gcd(g, d)] for g in divisors(rho)))
 
 
 class TestPolynomial:
@@ -282,20 +293,25 @@ class TestQuasiPolynomial:
         with pytest.raises(ValueError):
             QuasiPolynomial(2, (Polynomial((0, 1)), Polynomial((0, 0, 1))))
 
-    def test_rejects_bad_constituent_behind_repeated_references(self):
-        # Degree and monic are checked once per distinct object; a bad one
-        # that appears only as repeated references is still refused.
+    def test_rejects_bad_constituent_at_any_divisor(self):
+        # Period 6 stores the divisors 1, 2, 3, 6; a non-monic or
+        # wrong-degree constituent at any of them is refused.
         good = Polynomial.from_roots((1, 2))
         for bad in (Polynomial((1, 2, 2)), Polynomial.from_roots((1,))):
-            for refs in (
-                (good, bad, bad, good, bad, bad),
-                (good, good, good, good, bad, bad),
-                (bad, good, bad, good, bad, good),
-            ):
+            for i in range(4):
                 with pytest.raises(ValueError):
-                    QuasiPolynomial(6, refs)
-        # Equal values in distinct objects pass as before.
-        QuasiPolynomial(3, (good, Polynomial.from_roots((1, 2)), good))
+                    QuasiPolynomial(6, (good,) * i + (bad,) + (good,) * (3 - i))
+        QuasiPolynomial(6, (good,) * 4)
+
+    def test_stores_one_constituent_per_divisor(self):
+        # Class k reads the constituent of gcd(k, period); a period-long
+        # tuple is refused.
+        polys = tuple(Polynomial.from_roots([c]) for c in range(6))
+        qp = QuasiPolynomial(12, polys)
+        for k in range(1, 25):
+            assert qp.constituent(k) == polys[divisors(12).index(math.gcd(k, 12))], k
+        with pytest.raises(ValueError, match="need exactly 6 constituents, got 12"):
+            QuasiPolynomial(12, polys * 2)
 
     def test_rejects_bad_period(self):
         with pytest.raises(ValueError):
@@ -311,20 +327,18 @@ class TestQuasiPolynomial:
         assert issubclass(InvalidResidue, ValueError)
 
     def test_str_is_the_listing(self, monkeypatch):
-        # Closed forms share one object among the classes of one gcd; the
-        # listing formats each distinct object once, and an equal value in
-        # another object once more.
+        # One line per class k = 1..period, and each stored constituent,
+        # one per divisor, is formatted once.
         text = Polynomial.__str__
         odd, even = chi_coxeter("C", 2).constituents
-        copy = Polynomial(odd.coeffs)
         formatted = []
         monkeypatch.setattr(Polynomial, "__str__", lambda p: formatted.append(p) or text(p))
-        listing = str(QuasiPolynomial(5, (odd, even, odd, copy, copy)))
+        listing = str(QuasiPolynomial(6, (odd, even, odd, even)))
         assert listing == (
-            "period 5\nk=1: q^2 - 4*q + 3\nk=2: q^2 - 6*q + 8\nk=3: q^2 - 4*q + 3\n"
-            "k=4: q^2 - 4*q + 3\nk=5: q^2 - 4*q + 3\n"
+            "period 6\nk=1: q^2 - 4*q + 3\nk=2: q^2 - 6*q + 8\nk=3: q^2 - 4*q + 3\n"
+            "k=4: q^2 - 6*q + 8\nk=5: q^2 - 4*q + 3\nk=6: q^2 - 6*q + 8\n"
         )
-        assert [id(p) for p in formatted] == [id(odd), id(even), id(copy)]
+        assert formatted == [odd, even, odd, even]
 
 
 class TestBruteForce:
@@ -621,12 +635,17 @@ class TestInterpolation:
         assert qp.constituents == (Polynomial((0, -1, 1)),)
 
     def test_multiple_of_minimum_period_works(self):
-        # Any multiple of the true period interpolates consistently.
-        qp = interpolate_quasi(gen_coxeter("B", 2), 4)
-        assert qp.constituent(1) == qp.constituent(3)
-        assert qp.constituent(2) == qp.constituent(4)
-        expanded = interpolate_quasi(gen_coxeter("A", 2), 3)
-        assert expanded.constituents == (Polynomial((0, -1, 1)),) * 3
+        # Any multiple of the true period interpolates consistently: class
+        # by class it is the true quasi-polynomial, and what fitting every
+        # class on its own gives.
+        for family, rho, period in (("B", 2, 4), ("A", 1, 3), ("C", 2, 6)):
+            mat = gen_coxeter(family, 2)
+            qp = interpolate_quasi(mat, period)
+            assert every_class(qp) == interpolate_every_class(mat, period)
+            assert every_class(qp) == every_class(chi_coxeter(family, 2)) * (period // rho)
+        assert interpolate_quasi(gen_coxeter("A", 2), 3).constituents == (
+            Polynomial((0, -1, 1)),
+        ) * 2
 
     def test_wrong_period_raises_not_monic(self):
         with pytest.raises(NotMonic):
@@ -663,8 +682,8 @@ class TestInterpolation:
     @given(int_matrices(max_rows=3, max_cols=4, max_abs=3), st.integers(1, 3000))
     @settings(max_examples=60, deadline=None)
     def test_counts_every_sample_once_in_order_or_none(self, mat, budget):
-        # Classes 1..rho in turn, each from its smallest sample up, so each
-        # q in 1..rho * (m + 1) is counted once; over the budget, none is.
+        # One class per divisor g of rho, in increasing order, each from
+        # its smallest sample up; over the budget, none is counted.
         m, rho = mat.rows, lcm_period(mat).value
         seen = []
 
@@ -679,8 +698,58 @@ class TestInterpolation:
             except BudgetExceeded:
                 assert (seen, (rho * (m + 1)) ** m > budget) == ([], True)
                 return
-        assert seen == [k + rho * j for k in range(1, rho + 1) for j in range(m + 1)]
-        assert sorted(seen) == list(range(1, rho * (m + 1) + 1))
+        assert seen == [g + rho * j for g in divisors(rho) for j in range(m + 1)]
+
+    def test_counts_two_samples_per_divisor_at_the_listing_limit(self, monkeypatch):
+        # rho = 10^6 has 49 divisors, so m = 1 takes 2 * 49 counts; one per
+        # class would take 2 * 10^6.
+        calls = count_calls(monkeypatch, counting, "brute_force_count")
+        spec = DeformSpec(1, (10**6,))
+        qp = interpolate_quasi(gen_deform_a(spec), 10**6)
+        assert calls["brute_force_count"] == 98
+        assert qp == deform_quasi("Adeform", spec)
+
+    @pytest.mark.parametrize(
+        "mat, rho, calls",
+        [
+            (gen_deform_d(DeformSpec(4, (6, 3, 1), 1)), 6, 20),
+            (gen_deform_a(DeformSpec(3, (16, 8, 4))), 16, 20),
+            (gen_deform_a(DeformSpec(4, (6, 3, 1))), 6, 20),
+            (gen_coxeter("B", 5), 2, 12),
+            (gen_coxeter("B", 3), 2, 8),
+        ],
+        ids=["Ddeform-4-631", "Adeform-3-1684", "Adeform-4-631", "B5", "B3"],
+    )
+    def test_counts_per_divisor_on_the_interpolate_workload(self, monkeypatch, mat, rho, calls):
+        # The five interpolations of the benchmark's interpolate workload:
+        # d(rho) * (m + 1) counts each, 80 in all, where one fit per class
+        # made 30, 64, 30, 12 and 8.
+        counted = count_calls(monkeypatch, counting, "brute_force_count")
+        interpolate_quasi(mat, rho)
+        assert counted["brute_force_count"] == calls == len(divisors(rho)) * (mat.rows + 1)
+
+    @given(int_matrices(max_rows=3, max_cols=4, max_abs=3), st.integers(1, 3))
+    @settings(max_examples=40, deadline=None)
+    @example(IntMatrix(((3,),)), 1)
+    def test_multiple_of_lcm_period_agrees_with_brute_force(self, mat, c):
+        # What the docstring promises: for P a multiple of the minimum
+        # period the result is exact, here at every q <= 3P(m + 2), past
+        # every sample of every class.
+        m, period = mat.rows, c * lcm_period(mat).value
+        qmax = 3 * period * (m + 2)
+        assume(qmax ** (m + 1) <= 4 * 10**6)
+        qp = interpolate_quasi(mat, period)
+        for q in range(1, qmax + 1):
+            assert qp(q) == brute_force_count(mat, q), q
+
+    def test_wrong_period_may_give_a_wrong_result(self):
+        # The documented limit: P = 1 is not a multiple of rho = 3 for the
+        # one hyperplane 3x = 0, and the fit is q - 1, which is wrong at q = 3.
+        mat = IntMatrix(((3,),))
+        assert lcm_period(mat).value == 3
+        qp = interpolate_quasi(mat, 1)
+        assert qp.constituents == (Polynomial((-1, 1)),)
+        assert (qp(3), brute_force_count(mat, 3)) == (2, 0)
 
     def test_lagrange_exact(self):
         poly = _newton_integer_poly([2, 3, 4], [0, 0, 4])
@@ -713,16 +782,19 @@ class TestInterpolation:
     @given(int_matrices(max_rows=3, max_cols=5, max_abs=4))
     @settings(max_examples=40, deadline=None)
     def test_random_arrangement_theorems(self, mat):
-        # Each residue class is fitted on its own, so these are checks of
-        # Kamiya-Takemura-Terao's gcd property and of "lcm period = minimum
-        # period" (Higashitani-Tran-Yoshinaga); a too-small lcm_period
-        # fails the fit, a too-large one the minimality.
+        # The oracle fits each residue class on its own, so these are
+        # checks of Kamiya-Takemura-Terao's gcd property and of "lcm period
+        # = minimum period" (Higashitani-Tran-Yoshinaga); a too-small
+        # lcm_period fails the fit or the gcd property, a too-large one the
+        # minimality.
         m, rho = mat.rows, lcm_period(mat).value
         assume(((m + 1) * rho) ** m <= 10**5)
+        fits = interpolate_every_class(mat, rho)
+        assert all(p.is_monic and p.degree == m for p in fits)
+        assert gcd_property(fits)
         qp = interpolate_quasi(mat, rho, budget=10**5)
-        assert check_gcd_property(qp)
+        assert every_class(qp) == fits
         assert verify_minimum_period(qp)
-        assert all(p.is_monic and p.degree == m for p in qp.constituents)
 
     @pytest.mark.parametrize(
         "mat, rho",
@@ -757,8 +829,11 @@ class TestPeriodPredicates:
     def test_minimum_period_checks_every_divisor(self):
         p1 = Polynomial.from_roots([1])
         p2 = Polynomial.from_roots([2])
-        qp = QuasiPolynomial(4, (p1, p2, p1, p2))
-        assert not verify_minimum_period(qp)  # period 2 suffices
+        # Divisors 1, 2, 4: classes 2 and 4 share p2, so period 2 suffices.
+        assert not verify_minimum_period(QuasiPolynomial(4, (p1, p2, p2)))
+        assert verify_minimum_period(QuasiPolynomial(4, (p1, p2, p1)))
+        # Divisors 1, 2, 3, 6: period 3 suffices, not period 2.
+        assert not verify_minimum_period(QuasiPolynomial(6, (p1, p1, p2, p2)))
 
     @given(_periodic_quasi())
     @settings(max_examples=200, deadline=None)
@@ -766,15 +841,23 @@ class TestPeriodPredicates:
         assert verify_minimum_period(qp) == _every_divisor_minimum(qp)
 
     def test_gcd_property_true_for_closed_forms(self):
-        assert check_gcd_property(chi_coxeter("C", 3))
+        # Fitted class by class, C3's counts have the gcd property, and
+        # they are the closed form's classes.
+        fits = interpolate_every_class(gen_coxeter("C", 3), 4)
+        assert gcd_property(fits)
+        assert fits == every_class(chi_coxeter("C", 3)) * 2
 
     def test_gcd_property_false_for_hand_built(self):
+        # The oracle can fail, and the type cannot hold such a tuple.
         polys = tuple(Polynomial.from_roots([c]) for c in (1, 2, 3, 4))
-        assert not check_gcd_property(QuasiPolynomial(4, polys))
+        assert not gcd_property(polys)
+        with pytest.raises(ValueError, match="need exactly 3 constituents, got 4"):
+            QuasiPolynomial(4, polys)
 
     def test_gcd_property_groups_equal_gcds(self):
         p1 = Polynomial.from_roots([1])
         p2 = Polynomial.from_roots([2])
         p4 = Polynomial.from_roots([3])
-        qp = QuasiPolynomial(4, (p1, p2, p1, p4))
-        assert check_gcd_property(qp)
+        assert gcd_property((p1, p2, p1, p4))
+        assert not gcd_property((p1, p2, p4, p4))
+        assert every_class(QuasiPolynomial(4, (p1, p2, p4))) == (p1, p2, p1, p4)
