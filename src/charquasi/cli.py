@@ -43,10 +43,11 @@ from .arrangements import (
 )
 from .errors import CharQuasiError
 
-# The longest listing quasi or verify writes, checked before any count.  At
-# rho = 10**6 the closed form for m = 1..3 takes about 0.5 s and 115-175 MB
-# and writes 16-33 MB of text; interpolating m = 1 makes 2 * 49 counts, one
-# pair per divisor of rho, in about 0.5 s.  verify writes one row per modulus.
+# The longest listing quasi or verify writes, checked before any count.  It
+# bounds time and output size: at rho = 10**6 the closed form for m = 1..3
+# takes about 0.3-0.4 s and writes 16-34 MB of text, and interpolating m = 1
+# makes 2 * 49 counts, one pair per divisor of rho, in about 0.4 s.  verify
+# writes one row per modulus.
 LISTING_LIMIT = 10**6
 
 
@@ -163,7 +164,7 @@ def cmd_quasi(args: argparse.Namespace) -> int:
         from .counting import interpolate_quasi
 
         qp = interpolate_quasi(mat if args.matrix else gen_deform(family, spec), rho)
-    sys.stdout.write(str(qp))
+    sys.stdout.writelines(qp._listing())
     return 0
 
 

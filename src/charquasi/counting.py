@@ -16,10 +16,10 @@ the two generic counters plus exact interpolation:
   * snf_count: inclusion-exclusion over column subsets J,
         |M_S(q)| = sum_J (-1)^|J| q^(m - l(J)) prod_i gcd(e_{J,i}, q),
     where e_{J,i} are the elementary divisors of the column submatrix and
-    l(J) its rank; the empty subset contributes q^m.  The terms depend on
-    J only through the lattice its columns span, so the sum runs over the
-    distinct lattices of intlinalg's lattice table, each weighted by its
-    signed subset count, not over the 2^n subsets.
+    l(J) its rank; the empty subset contributes q^m.  A term depends on
+    J through l(J) and its divisors > 1 alone, so the sum runs over the
+    distinct terms of intlinalg's lattice table, each weighted by the
+    signed count of its subsets, not over the 2^n subsets.
   * interpolate_quasi: exact Newton interpolation in integers (divided
     differences, each division checked to be exact) of one degree-m
     constituent per divisor of a given period, from m + 1 brute-force
@@ -207,9 +207,11 @@ def _column_table(
 def snf_count(mat: IntMatrix, q: int) -> int:
     """|M_S(q)| by inclusion-exclusion over the elementary divisor data.
 
-    Sums one term per distinct column lattice with a nonzero signed count
-    (built once per matrix and cached).  It has no column limit: the cost
-    grows with the lattice count, not with the width.  Agreement with
+    Sums the terms of intlinalg's lattice table, count * q^(m - rank) *
+    prod gcd(e, q) each, one per distinct (rank, divisors > 1) with a
+    nonzero count.  The table is built on a matrix's first call and cached,
+    so a later modulus reads only its terms.  It has no column limit: the
+    build grows with the number of lattices, not with 2^n.  Agreement with
     brute_force_count for all q is the core cross-check of the package.
     """
     # Loaded here so commands that only count by brute force never import
@@ -221,8 +223,8 @@ def snf_count(mat: IntMatrix, q: int) -> int:
         raise CharQuasiError("modulus q must be >= 1")
     m = mat.rows
     total = 0
-    for count, divs in _lattice_table(mat):
-        term = count * q ** (m - len(divs))
+    for count, rank, divs in _lattice_table(mat):
+        term = count * q ** (m - rank)
         for e in divs:
             term *= math.gcd(e, q)
         total += term

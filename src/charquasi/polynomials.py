@@ -12,7 +12,7 @@ base class and two errors.
 import functools
 import math
 import operator
-from collections.abc import Iterable
+from collections.abc import Iterable, Iterator
 
 from .arrangements import _Value
 from .errors import CharQuasiError, InvalidResidue
@@ -151,11 +151,26 @@ class QuasiPolynomial(_Value):
 
     def __str__(self) -> str:
         """The listing: 'period <rho>', then 'k=<k>: <constituent>' per class."""
+        return "".join(self._listing())
+
+    def _listing(self) -> Iterator[str]:
+        """str()'s text in pieces: the period line, then blocks of classes.
+
+        Each stored constituent is formatted once, and a block holds at
+        most _LISTING_BLOCK classes, so a writer of the pieces holds one
+        block of text at a time, whatever the period.
+        """
         rho = self.period
         text = dict(zip(divisors(rho), map(str, self.constituents)))
-        lines = [f"period {rho}"]
-        lines += (f"k={k}: {text[math.gcd(k, rho)]}" for k in range(1, rho + 1))
-        return "\n".join(lines) + "\n"
+        yield f"period {rho}\n"
+        for lo in range(1, rho + 1, _LISTING_BLOCK):
+            classes = range(lo, min(lo + _LISTING_BLOCK, rho + 1))
+            yield "".join([f"k={k}: {text[math.gcd(k, rho)]}\n" for k in classes])
+
+
+# Classes per block of a listing: few writes on an unbuffered stdout, and
+# a block of text well under a megabyte.
+_LISTING_BLOCK = 4096
 
 
 # Kept per period: constituent(k) reads it on every call, and it costs

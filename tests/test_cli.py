@@ -1,12 +1,14 @@
 """CLI behavior: output formats, exit codes, method agreement."""
 
 import gc
+import hashlib
 import io
 import json
 import re
 import subprocess
 import sys
 import time
+import tracemalloc
 from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
@@ -407,6 +409,38 @@ class TestQuasi:
         with pytest.raises(AssertionError, match="brute_force_count ran"):
             main(["quasi", "--family", "Adeform", "--m", "1", "--s", "1000000",
                   "--method", "interpolate"])
+
+    def test_listing_is_streamed_in_blocks(self, monkeypatch):
+        # rho = 10^5 lines of about 20 bytes: built whole, the listing and
+        # its line list peak over 10 MB under tracemalloc; streamed, the
+        # text held at a time is one block of at most 4096 classes.  The
+        # sink hashes what it is given, so the bytes are checked too.
+        class Sink(io.TextIOBase):
+            def __init__(self):
+                self.digest, self.writes = hashlib.sha256(), 0
+
+            def write(self, text):
+                self.digest.update(text.encode())
+                self.writes += 1
+                return len(text)
+
+        spec = DeformSpec(1, (10**5,))
+        argv = ["quasi", "--family", "Adeform", "--m", "1", "--s", "100000",
+                "--method", "closed-form"]
+        sink = Sink()
+        monkeypatch.setattr(sys, "stdout", sink)
+        tracemalloc.start()
+        try:
+            code = main(argv)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        want = str(closedforms.deform_quasi("Adeform", spec)).encode()
+        assert code == 0
+        assert sink.digest.hexdigest() == hashlib.sha256(want).hexdigest()
+        assert peak < 2 * 10**6
+        # The period line, then ceil(10^5 / 4096) = 25 blocks.
+        assert sink.writes == 1 + 25
 
     @pytest.mark.parametrize(
         "family_args",

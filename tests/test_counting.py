@@ -340,6 +340,21 @@ class TestQuasiPolynomial:
         )
         assert formatted == [odd, even, odd, even]
 
+    @pytest.mark.parametrize("period", [1, 4095, 4096, 4097, 12288, 30030])
+    def test_listing_pieces_are_the_period_line_then_blocks(self, period):
+        # str() joins the pieces; each block after the period line holds
+        # at most 4096 whole lines, in class order.
+        qp = QuasiPolynomial(period, [Polynomial((-g, 1)) for g in divisors(period)])
+        pieces = list(qp._listing())
+        assert "".join(pieces) == str(qp)
+        assert pieces[0] == f"period {period}\n"
+        sizes = [piece.count("\n") for piece in pieces[1:]]
+        assert all(piece.endswith("\n") for piece in pieces)
+        assert sizes == [min(4096, period - lo) for lo in range(0, period, 4096)]
+        assert str(qp).splitlines()[1:] == [
+            f"k={k}: q - {math.gcd(k, period)}" for k in range(1, period + 1)
+        ]
+
 
 class TestBruteForce:
     def test_single_hyperplane(self):

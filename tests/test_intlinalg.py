@@ -6,9 +6,10 @@ minors, computed here by literal Laplace expansion over all row and column
 subsets.  The oracle for lcm_period is unpruned enumeration of every
 nonempty column subset through the public API.  The lattice table is also
 compared entry for entry with _lattice_table_ref, built from a plain
-Hermite-form routine that reduces every row on every call, and the two
-engines are tied together by "lcm period = minimum period": the lcm of the
-last divisors over the table's nonzero-count lattices is the lcm period.
+Hermite-form routine that reduces every row on every call and folded by
+(rank, divisors > 1) only at the end, and the two engines are tied
+together by "lcm period = minimum period": the lcm of the last divisors
+over the table's nonzero terms is the lcm period.
 Changes of a matrix that leave its arrangement's count known need no
 oracle at all: a column c next to a multiple k*c adds nothing, and a zero
 row multiplies every count by q; in both the lcm period stays put.  A
@@ -115,7 +116,13 @@ def _lattice_table_ref(mat):
                 key = _hnf_add_ref(basis, col)
                 grown[key] = grown.get(key, 0) - count
         table = grown
-    return tuple((count, _basis_divisors_ref(basis)) for basis, count in table.items() if count)
+    terms = {}
+    for basis, count in table.items():
+        if count:
+            divs = _basis_divisors_ref(basis)
+            key = (len(divs), tuple(e for e in divs if e != 1))
+            terms[key] = terms.get(key, 0) + count
+    return tuple((count, *key) for key, count in terms.items() if count)
 
 
 @st.composite
@@ -155,10 +162,10 @@ class TestLatticeTableReference:
     @settings(max_examples=150, deadline=None)
     def test_nonzero_counts_give_the_lcm_period(self, mat):
         # lcm period = minimum period (Higashitani-Tran-Yoshinaga): every
-        # column is nonzero, so the divisors of the lattices that survive
+        # column is nonzero, so the divisors of the terms that survive
         # inclusion-exclusion already reach the lcm period.
         table = _lattice_table(mat)
-        assert math.lcm(*(divs[-1] for _, divs in table if divs)) == lcm_period(mat).value
+        assert math.lcm(*(divs[-1] for _, _, divs in table if divs)) == lcm_period(mat).value
 
 
 class TestElementaryDivisors:
@@ -350,14 +357,31 @@ class TestLcmPeriod:
     def test_edge_inputs_match_naive_enumeration(self, mat):
         self._check_every_cap(mat)
 
-    def test_one_table_entry_per_lattice(self):
+    def test_one_table_entry_per_term(self):
         # B2 spans 7 lattices, each with a nonzero signed count: 0, four
-        # lines, Z^2 and the index-2 lattice of e1 - e2, e1 + e2.  D5 spans
-        # 428.  For (1 2) the subsets {1} and {1, 2} both span Z and cancel,
+        # lines, Z^2 and the index-2 lattice of e1 - e2, e1 + e2.  The four
+        # lines share one term, so they fold into one entry: q^2 - 4q +
+        # 2 + gcd(2, q).  B4, D5 and D6 span 164, 428 and 2 781 lattices.
+        # For (1 2) the subsets {1} and {1, 2} both span Z and cancel,
         # leaving 0 and 2Z: q - gcd(2, q) points.
-        assert len(_lattice_table(gen_coxeter("B", 2))) == 7
-        assert len(_lattice_table(gen_coxeter("D", 5))) == 428
-        assert _lattice_table(IntMatrix(((1, 2),))) == ((1, ()), (-1, (2,)))
+        assert _lattice_table(gen_coxeter("B", 2)) == (
+            (1, 0, ()), (-4, 1, ()), (2, 2, ()), (1, 2, (2,))
+        )
+        assert len(_lattice_table(gen_coxeter("B", 4))) == 9
+        assert len(_lattice_table(gen_coxeter("D", 5))) == 11
+        assert len(_lattice_table(gen_coxeter("D", 6))) == 15
+        assert _lattice_table(IntMatrix(((1, 2),))) == ((1, 0, ()), (-1, 1, (2,)))
+
+    def test_terms_whose_counts_cancel_are_dropped(self):
+        # Columns e1, 2e1, 3e1, e2: the line Z e1 has count +1 (from {1},
+        # {1, 2}, {1, 3}, {2, 3}, {1, 2, 3}: -1 + 1 + 1 + 1 - 1) and Z e2
+        # has -1.  Both are rank 1 with no divisor > 1, so their term is
+        # dropped though neither lattice's count is 0.  2Z e1 and 3Z e1
+        # share the rank but not the divisors, so they stay apart.
+        mat = IntMatrix.from_columns([(1, 0), (2, 0), (3, 0), (0, 1)])
+        assert _lattice_table(mat) == (
+            (1, 0, ()), (-1, 1, (2,)), (-1, 1, (3,)), (-1, 2, ()), (1, 2, (2,)), (1, 2, (3,))
+        )
 
     def test_builds_no_lattice_table(self):
         # The period reads only independent column sets; the signed table
@@ -473,11 +497,15 @@ class TestPeriodWork:
         assert lcm_period(gen_coxeter(family, m), m) == PeriodResult(2, True)
         assert tuple(calls[name] for name in names) == work
 
-    @pytest.mark.parametrize("family, m, work", [("D", 5, (3067, 428)), ("B", 4, (957, 164))])
+    @pytest.mark.parametrize(
+        "family, m, work",
+        [("D", 5, (3067, 428)), ("B", 4, (957, 164)), ("D", 6, (27652, 2781))],
+    )
     def test_table_work_counts(self, monkeypatch, family, m, work):
         # (_hnf_add, _basis_divisors) calls of one lattice-table build: a
         # table that costs more keeps every count right, and no timing here
-        # resolves it.
+        # resolves it.  _basis_divisors runs once per lattice with a nonzero
+        # count, before the lattices are folded into terms.
         names = ("_hnf_add", "_basis_divisors")
         calls = count_calls(monkeypatch, intlinalg, *names)
         _lattice_table.cache_clear()
