@@ -33,18 +33,7 @@ _EXPORTS = {
         "snf_count",
         "verify_minimum_period",
     ),
-    "errors": (
-        "BudgetExceeded",
-        "CharQuasiError",
-        "EmptyArrangement",
-        "IndexOutOfRange",
-        "InvalidChain",
-        "InvalidParity",
-        "InvalidResidue",
-        "NotIntegral",
-        "NotMonic",
-        "TooManyColumns",
-    ),
+    "errors": ("BudgetExceeded", "CharQuasiError", "TooManyColumns"),
     "intlinalg": (
         "ElementaryDivisors",
         "PeriodResult",

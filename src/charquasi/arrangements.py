@@ -41,7 +41,7 @@ import math
 import operator
 from collections.abc import Iterable, Sequence
 
-from .errors import CharQuasiError, EmptyArrangement, InvalidChain, InvalidParity
+from .errors import CharQuasiError
 
 COXETER_FAMILIES = ("A", "B", "C", "D")
 DEFORM_FAMILIES = ("Adeform", "Ddeform")
@@ -134,8 +134,9 @@ class DeformSpec(_Value):
     divisibility chain s_t | ... | s_1.  r is the number of even entries of
     s, worked out from s; the chain makes them the leading ones, which is
     the parity split that type D reads.  An explicit r is only checked:
-    InvalidParity unless it equals the count, which also refuses any r
-    outside 0..t.
+    CharQuasiError unless it equals the count, which also refuses any r
+    outside 0..t.  A broken chain, t > m, m < 1 or an entry below 1 is a
+    CharQuasiError too.
     """
 
     __slots__ = ("m", "s", "r")
@@ -153,14 +154,14 @@ class DeformSpec(_Value):
             raise CharQuasiError("diagonal entries must be positive")
         for a, b in zip(s, s[1:]):
             if a % b:
-                raise InvalidChain(
+                raise CharQuasiError(
                     f"divisibility chain broken: {b} does not divide {a}"
                 )
         even = sum(v % 2 == 0 for v in s)
         if r is not None:
             r = operator.index(r)
             if r != even:
-                raise InvalidParity(
+                raise CharQuasiError(
                     f"r must be the number of even entries of s, {even}; got r = {r}"
                 )
         object.__setattr__(self, "m", m)
@@ -211,16 +212,15 @@ def known_period(spec: DeformSpec, family: str) -> int:
 
     Adeform: s_1 for t >= 1, else 1.  Ddeform: lcm(s_1, 2) for t >= 1,
     else 2.  This is the one check that (family, spec) names an
-    arrangement, and every generator and formula of a family runs it:
-    CharQuasiError for an unknown family, EmptyArrangement for A_1 and D_1
-    (m = 1, t = 0: no hyperplanes), and CharQuasiError for type D with m = 1
-    and t >= 1, whose e_i +- e_j part is empty although its diagonal part
-    is not.
+    arrangement, and every generator and formula of a family runs it.  It
+    raises CharQuasiError for an unknown family, for A_1 and D_1 (m = 1,
+    t = 0: no hyperplanes), and for type D with m = 1 and t >= 1, whose
+    e_i +- e_j part is empty although its diagonal part is not.
     """
     if family not in DEFORM_FAMILIES:
         raise CharQuasiError(f"unknown deformation family {family!r}")
     if spec.m == 1 and not spec.t:
-        raise EmptyArrangement(f"empty arrangement: {family[0]}_1 has no hyperplanes")
+        raise CharQuasiError(f"empty arrangement: {family[0]}_1 has no hyperplanes")
     if family == "Adeform":
         return spec.s[0] if spec.t else 1
     if spec.m < 2:
@@ -231,7 +231,7 @@ def known_period(spec: DeformSpec, family: str) -> int:
 def gen_coxeter(family: str, m: int) -> IntMatrix:
     """Normal matrix of the reflection arrangement of the given family.
 
-    Raises EmptyArrangement when the combination has no hyperplanes
+    Raises CharQuasiError when the combination has no hyperplanes
     (A with m = 1, D with m = 1).
     """
     return gen_deform(*coxeter_spec(family, m))

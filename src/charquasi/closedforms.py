@@ -16,7 +16,7 @@ k' = rho covering the class q = 0 mod rho).  This also makes the deformation
 formulas directly evaluable at raw moduli q, and it is why a whole
 quasi-polynomial needs one evaluation per divisor of rho, the constituents
 QuasiPolynomial stores.  The index is checked as QuasiPolynomial checks it:
-anything but a positive integer raises InvalidResidue.
+a non-integer raises TypeError, and an integer below 1 CharQuasiError.
 
 One pitfall is documented here because it is easy to reintroduce: in the
 even-residue type-D formula the correction sum's first inner product runs
@@ -39,7 +39,7 @@ def chi_coxeter(family: str, m: int) -> QuasiPolynomial:
 
     A_m and B_1 have period 1.  B_m (m >= 2), C_m and D_m have period 2,
     with one constituent for odd q (k = 1) and one for even q (k = 2).
-    Raises EmptyArrangement for A or D with m = 1 (no hyperplanes; the
+    Raises CharQuasiError for A or D with m = 1 (no hyperplanes; the
     count would be plain q).
     """
     return deform_quasi(*coxeter_spec(family, m))

@@ -34,7 +34,7 @@ import operator
 from functools import reduce
 
 from .arrangements import IntMatrix
-from .errors import BudgetExceeded, CharQuasiError, NotIntegral, NotMonic
+from .errors import BudgetExceeded, CharQuasiError
 from .polynomials import Polynomial, QuasiPolynomial, divisors
 
 DEFAULT_POINT_BUDGET = 10**8
@@ -244,7 +244,7 @@ def _newton_integer_poly(xs: list[int], ys: list[int]) -> Polynomial:
             num, den = coeffs[i] - coeffs[i - 1], xs[i] - xs[i - step]
             coeffs[i], rest = divmod(num, den)
             if rest:
-                raise NotIntegral(
+                raise CharQuasiError(
                     f"divided difference {num}/{den} over q = {xs[i - step]}..{xs[i]} "
                     "is not an integer"
                 )
@@ -269,10 +269,11 @@ def interpolate_quasi(
     sum_J (-1)^|J| q^(m - rank J) is 0 there, as is the count.
 
     The result is exact when P is a multiple of the minimum period (such
-    as lcm_period's value).  Any other P may be refused, as NotIntegral or
-    NotMonic naming the lowest class that fails, or may give a wrong
-    result: P = 1 for the one hyperplane 3x = 0 gives q - 1.  A period
-    below 1 samples no class and is refused by QuasiPolynomial.
+    as lcm_period's value).  Any other P may be refused, with a
+    CharQuasiError at the lowest class that fails (a divided difference
+    that is not an integer, or a constituent not monic of degree m), or may
+    give a wrong result: P = 1 for the one hyperplane 3x = 0 gives q - 1.
+    A period below 1 samples no class and is refused by QuasiPolynomial.
     """
     period, m = operator.index(period), mat.rows
     if period >= 1:
@@ -283,7 +284,7 @@ def interpolate_quasi(
         ys = [brute_force_count(mat, x, budget) for x in xs]
         poly = _newton_integer_poly(xs, ys)
         if poly.degree != m or not poly.is_monic:
-            raise NotMonic(
+            raise CharQuasiError(
                 f"residue class {g} interpolates to {poly}, "
                 f"not monic of degree {m}"
             )

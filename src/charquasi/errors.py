@@ -1,34 +1,18 @@
-"""Exception taxonomy shared across the package.
+"""The package's refusals: one class for bad input, two for limits.
 
-Every refusal the package words itself raises CharQuasiError or a subclass,
-and every CharQuasiError is a ValueError (IndexOutOfRange is an IndexError
-too), while a wrong argument type raises TypeError.
+Every refusal the package words itself raises CharQuasiError, and every
+CharQuasiError is a ValueError, while a wrong argument type raises
+TypeError.  A refusal of bad input (a broken chain, an empty arrangement,
+a residue index below 1, a period that interpolates to no quasi-polynomial)
+is a plain CharQuasiError: its message says what is wrong, and no setting
+makes the same call succeed.  The two subclasses are the limit errors, the
+refusals that a setting lifts, so they are the ones a caller can catch and
+retry: TooManyColumns (max_subset_size=) and BudgetExceeded (budget=).
 """
 
 
 class CharQuasiError(ValueError):
     """Base class for all errors raised by this package."""
-
-
-class EmptyArrangement(CharQuasiError):
-    """The requested family/dimension combination has no hyperplanes."""
-
-
-class InvalidChain(CharQuasiError):
-    """The diagonal entries violate the divisibility chain s_t | ... | s_1."""
-
-
-class InvalidParity(CharQuasiError):
-    """An explicit r is not the number of even entries of s.
-
-    The divisibility chain makes the even entries of s its leading ones, so
-    DeformSpec works r out from s; a given r is only checked against it,
-    which also refuses an r outside 0..t.
-    """
-
-
-class IndexOutOfRange(CharQuasiError, IndexError):
-    """A column index set refers to columns outside 1..n."""
 
 
 class TooManyColumns(CharQuasiError):
@@ -51,15 +35,3 @@ class BudgetExceeded(CharQuasiError):
     interpolate_quasi and the verify command check their largest modulus
     against it before any count.
     """
-
-
-class NotIntegral(CharQuasiError):
-    """Interpolation produced a non-integer coefficient."""
-
-
-class NotMonic(CharQuasiError):
-    """Interpolation produced a constituent that is not monic of full degree."""
-
-
-class InvalidResidue(CharQuasiError):
-    """A residue-class index is not a positive integer."""

@@ -66,7 +66,7 @@ from functools import lru_cache, reduce
 from .arrangements import IntMatrix, _Value
 # Kept because TRACED in bench/tracing.py looks known_period up in this module.
 from .arrangements import known_period
-from .errors import CharQuasiError, IndexOutOfRange, TooManyColumns
+from .errors import CharQuasiError, TooManyColumns
 
 # Widest matrix lcm_period accepts without a cap.
 FULL_ENUMERATION_LIMIT = 24
@@ -126,14 +126,14 @@ def smith_divisors(mat: IntMatrix) -> ElementaryDivisors:
 def column_submatrix(mat: IntMatrix, indices: Iterable[int]) -> IntMatrix:
     """Submatrix of the 1-based columns J, in increasing index order.
 
-    Raises IndexOutOfRange when an index falls outside 1..n and CharQuasiError
-    for an empty index set.  Kept because bench/inputs.py:naive_period calls it.
+    Raises CharQuasiError when an index falls outside 1..n or the index set
+    is empty.  Kept because bench/inputs.py:naive_period calls it.
     """
     J = sorted({operator.index(j) for j in indices})
     if not J:
         raise CharQuasiError("column index set must be nonempty")
     if J[0] < 1 or J[-1] > mat.cols:
-        raise IndexOutOfRange(
+        raise CharQuasiError(
             f"column indices must lie in 1..{mat.cols}, got {J[0] if J[0] < 1 else J[-1]}"
         )
     return IntMatrix(tuple(tuple(row[j - 1] for j in J) for row in mat.entries))

@@ -15,7 +15,7 @@ import operator
 from collections.abc import Iterable, Iterator
 
 from .arrangements import _Value
-from .errors import CharQuasiError, InvalidResidue
+from .errors import CharQuasiError
 
 
 class Polynomial(_Value):
@@ -119,9 +119,10 @@ class QuasiPolynomial(_Value):
     gcd(k, period), the gcd property of Kamiya-Takemura-Terao, so the type
     stores it once per divisor: constituents[i] applies to every q with
     gcd(q, period) == divisors(period)[i].  For period 1 or 2 that is the
-    class tuple itself.  A residue index is any positive integer; anything
-    else raises InvalidResidue.  str() gives the listing that `charquasi
-    quasi` prints, one line per class k = 1..period.
+    class tuple itself.  A residue index is any positive integer: a
+    non-integer raises TypeError, and an integer below 1 CharQuasiError.
+    str() gives the listing that `charquasi quasi` prints, one line per
+    class k = 1..period.
     """
 
     __slots__ = ("period", "constituents")
@@ -183,11 +184,8 @@ def divisors(n: int) -> tuple[int, ...]:
 
 
 def _residue_index(k: int) -> int:
-    """k as a residue-class index: a positive integer, else InvalidResidue."""
-    try:
-        k = operator.index(k)
-    except TypeError:
-        raise InvalidResidue(f"residue index must be an integer, got {k!r}") from None
+    """k as a residue-class index: TypeError unless an integer, CharQuasiError below 1."""
+    k = operator.index(k)
     if k < 1:
-        raise InvalidResidue(f"residue index must be >= 1, got {k}")
+        raise CharQuasiError(f"residue index must be >= 1, got {k}")
     return k

@@ -98,7 +98,8 @@ class TestGen:
 def test_empty_deformation_fails_alike_on_every_command(capsys, letter):
     # A_1 and D_1 have no hyperplanes, whether named as reflection families
     # or as deformations with t = 0.  D_1 with t = 1 is one hyperplane,
-    # refused because type D needs m >= 2, not as an empty arrangement.
+    # refused because type D needs m >= 2, not as an empty arrangement; a
+    # broken chain is refused by DeformSpec before the family is read.
     empty = f"empty arrangement: {letter}_1 has no hyperplanes"
     refusals = {
         ("--family", letter, "--m", "1"): empty,
@@ -107,6 +108,8 @@ def test_empty_deformation_fails_alike_on_every_command(capsys, letter):
     if letter == "D":
         spec = ("--family", "Ddeform", "--m", "1", "--s", "3")
         refusals[spec] = "type-D deformation needs m >= 2"
+        spec = ("--family", "Ddeform", "--m", "3", "--s", "4,3")
+        refusals[spec] = "divisibility chain broken: 3 does not divide 4"
     for spec, message in refusals.items():
         commands = [
             ("gen", *spec),

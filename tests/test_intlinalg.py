@@ -28,9 +28,9 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from charquasi import (
+    CharQuasiError,
     DeformSpec,
     ElementaryDivisors,
-    IndexOutOfRange,
     IntMatrix,
     PeriodResult,
     TooManyColumns,
@@ -290,7 +290,8 @@ class TestColumnSubmatrix:
 
     @pytest.mark.parametrize("bad", [0, 5, -1])
     def test_rejects_out_of_range(self, bad):
-        with pytest.raises(IndexOutOfRange):
+        message = rf"^column indices must lie in 1\.\.4, got {bad}$"
+        with pytest.raises(CharQuasiError, match=message):
             column_submatrix(gen_coxeter("B", 2), [bad])
 
 
