@@ -41,7 +41,7 @@ import math
 import operator
 from collections.abc import Iterable, Sequence
 
-from .errors import CharQuasiError
+from .errors import CharQuasiError, positive
 
 COXETER_FAMILIES = ("A", "B", "C", "D")
 DEFORM_FAMILIES = ("Adeform", "Ddeform")
@@ -135,8 +135,10 @@ class DeformSpec(_Value):
     s, worked out from s; the chain makes them the leading ones, which is
     the parity split that type D reads.  An explicit r is only checked:
     CharQuasiError unless it equals the count, which also refuses any r
-    outside 0..t.  A broken chain, t > m, m < 1 or an entry below 1 is a
-    CharQuasiError too.
+    outside 0..t.  t > m and a broken chain are CharQuasiErrors too, and
+    errors.positive refuses an m or an entry below 1, naming "dimension m"
+    or "diagonal entry" and the value.  The checks run in the order m,
+    t <= m, the entries, the chain, so the first fault is the one named.
     """
 
     __slots__ = ("m", "s", "r")
@@ -144,14 +146,11 @@ class DeformSpec(_Value):
     def __init__(
         self, m: int, s: Iterable[int] = (), r: int | None = None
     ) -> None:
-        m = operator.index(m)
-        s = tuple(operator.index(v) for v in s)
-        if m < 1:
-            raise CharQuasiError("dimension m must be >= 1")
+        m = positive(m, "dimension m")
+        s = tuple(s)
         if len(s) > m:
             raise CharQuasiError(f"tuple length t = {len(s)} exceeds m = {m}")
-        if any(v < 1 for v in s):
-            raise CharQuasiError("diagonal entries must be positive")
+        s = tuple(positive(v, "diagonal entry") for v in s)
         for a, b in zip(s, s[1:]):
             if a % b:
                 raise CharQuasiError(

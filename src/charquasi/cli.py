@@ -41,7 +41,7 @@ from .arrangements import (
     known_period,
     parse_matrix,
 )
-from .errors import CharQuasiError
+from .errors import CharQuasiError, positive
 
 # The longest listing quasi or verify writes, checked before any count.  It
 # bounds time and output size: at rho = 10**6 the closed form for m = 1..3
@@ -172,8 +172,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     from .closedforms import chi_deform
     from .counting import brute_force_count, check_point_budget, snf_count
 
-    if args.qmax < 1:
-        raise CharQuasiError("--qmax must be >= 1")
+    positive(args.qmax, "--qmax")
     if args.qmax > LISTING_LIMIT:
         raise CharQuasiError(
             f"--qmax {args.qmax} is over the listing limit of {LISTING_LIMIT} rows; "

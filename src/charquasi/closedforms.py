@@ -15,8 +15,9 @@ share a gcd with rho, so any positive k is mapped to k' = gcd(rho, k) (with
 k' = rho covering the class q = 0 mod rho).  This also makes the deformation
 formulas directly evaluable at raw moduli q, and it is why a whole
 quasi-polynomial needs one evaluation per divisor of rho, the constituents
-QuasiPolynomial stores.  The index is checked as QuasiPolynomial checks it:
-a non-integer raises TypeError, and an integer below 1 CharQuasiError.
+QuasiPolynomial stores.  The index is checked by errors.positive, as
+QuasiPolynomial.constituent checks it: a non-integer raises TypeError, and
+an integer below 1 a CharQuasiError naming "residue index" and the value.
 
 One pitfall is documented here because it is easy to reintroduce: in the
 even-residue type-D formula the correction sum's first inner product runs
@@ -31,7 +32,8 @@ import math
 from collections.abc import Sequence
 
 from .arrangements import DeformSpec, coxeter_spec, known_period
-from .polynomials import Polynomial, QuasiPolynomial, _residue_index, divisors
+from .errors import positive
+from .polynomials import Polynomial, QuasiPolynomial, divisors
 
 
 def chi_coxeter(family: str, m: int) -> QuasiPolynomial:
@@ -73,7 +75,7 @@ def chi_deform_a(spec: DeformSpec, k: int) -> Polynomial:
     with d_i = gcd(k', s_i) after gcd-reduction of k.  The parity field r
     is ignored.
     """
-    kp = math.gcd(known_period(spec, "Adeform"), _residue_index(k))
+    kp = math.gcd(known_period(spec, "Adeform"), positive(k, "residue index"))
     roots = [math.gcd(kp, v) + i for i, v in enumerate(spec.s)]
     roots += range(spec.t, spec.m)
     return Polynomial.from_roots(roots)
@@ -122,7 +124,7 @@ def chi_deform_d(spec: DeformSpec, k: int) -> Polynomial:
     r even entries of s (spec.r, worked out from s), and the correction sum
     starts at j = r + 1 (see the module docstring for the wrong variant).
     """
-    kp = math.gcd(known_period(spec, "Ddeform"), _residue_index(k))
+    kp = math.gcd(known_period(spec, "Ddeform"), positive(k, "residue index"))
     d = [math.gcd(kp, v) for v in spec.s]
     if kp % 2:
         return _odd_constituent_d(spec.m, spec.t, d)

@@ -34,7 +34,7 @@ import operator
 from functools import reduce
 
 from .arrangements import IntMatrix
-from .errors import BudgetExceeded, CharQuasiError
+from .errors import BudgetExceeded, CharQuasiError, positive
 from .polynomials import Polynomial, QuasiPolynomial, divisors
 
 DEFAULT_POINT_BUDGET = 10**8
@@ -84,9 +84,7 @@ def brute_force_count(mat: IntMatrix, q: int, budget: int = DEFAULT_POINT_BUDGET
     limit.  q = 1 gives 0 on every layout: every residue is 0 mod 1, so
     each point lies on the first column's hyperplane.
     """
-    q = operator.index(q)
-    if q < 1:
-        raise CharQuasiError("modulus q must be >= 1")
+    q = positive(q, "modulus q")
     m, n = mat.rows, mat.cols
     check_point_budget(q, m, budget)
     rows = [[v % q for v in row] for row in mat.entries]
@@ -218,9 +216,7 @@ def snf_count(mat: IntMatrix, q: int) -> int:
     # the subset layer.
     from .intlinalg import _lattice_table
 
-    q = operator.index(q)
-    if q < 1:
-        raise CharQuasiError("modulus q must be >= 1")
+    q = positive(q, "modulus q")
     m = mat.rows
     total = 0
     for count, rank, divs in _lattice_table(mat):
@@ -273,11 +269,11 @@ def interpolate_quasi(
     CharQuasiError at the lowest class that fails (a divided difference
     that is not an integer, or a constituent not monic of degree m), or may
     give a wrong result: P = 1 for the one hyperplane 3x = 0 gives q - 1.
-    A period below 1 samples no class and is refused by QuasiPolynomial.
+    A period below 1 is refused by errors.positive before the point budget
+    is read and before any count.
     """
-    period, m = operator.index(period), mat.rows
-    if period >= 1:
-        check_point_budget(period * (m + 1), m, budget)
+    period, m = positive(period, "period"), mat.rows
+    check_point_budget(period * (m + 1), m, budget)
     constituents = []
     for g in divisors(period):
         xs = [g + period * j for j in range(m + 1)]

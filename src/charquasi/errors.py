@@ -3,12 +3,17 @@
 Every refusal the package words itself raises CharQuasiError, and every
 CharQuasiError is a ValueError, while a wrong argument type raises
 TypeError.  A refusal of bad input (a broken chain, an empty arrangement,
-a residue index below 1, a period that interpolates to no quasi-polynomial)
-is a plain CharQuasiError: its message says what is wrong, and no setting
-makes the same call succeed.  The two subclasses are the limit errors, the
-refusals that a setting lifts, so they are the ones a caller can catch and
-retry: TooManyColumns (max_subset_size=) and BudgetExceeded (budget=).
+an integer below 1, a period that interpolates to no quasi-polynomial) is a
+plain CharQuasiError: its message says what is wrong, and no setting makes
+the same call succeed.  Every integer that must be at least 1 (a modulus, a
+period, a residue index, a dimension, a cap, a diagonal entry or an
+elementary divisor) is checked by positive(), which names the argument and
+the value.  The two subclasses are the limit errors, the refusals that a
+setting lifts, so they are the ones a caller can catch and retry:
+TooManyColumns (max_subset_size=) and BudgetExceeded (budget=).
 """
+
+import operator
 
 
 class CharQuasiError(ValueError):
@@ -35,3 +40,11 @@ class BudgetExceeded(CharQuasiError):
     interpolate_quasi and the verify command check their largest modulus
     against it before any count.
     """
+
+
+def positive(value: int, name: str) -> int:
+    """value as an int of at least 1: TypeError unless an integer, CharQuasiError below 1."""
+    value = operator.index(value)
+    if value < 1:
+        raise CharQuasiError(f"{name} must be >= 1, got {value}")
+    return value

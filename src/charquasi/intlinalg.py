@@ -66,7 +66,7 @@ from functools import lru_cache, reduce
 from .arrangements import IntMatrix, _Value
 # Kept because TRACED in bench/tracing.py looks known_period up in this module.
 from .arrangements import known_period
-from .errors import CharQuasiError, TooManyColumns
+from .errors import CharQuasiError, TooManyColumns, positive
 
 # Widest matrix lcm_period accepts without a cap.
 FULL_ENUMERATION_LIMIT = 24
@@ -75,15 +75,16 @@ FULL_ENUMERATION_LIMIT = 24
 class ElementaryDivisors(_Value):
     """Positive elementary divisors e_1 | e_2 | ... | e_rank of a matrix.
 
+    errors.positive refuses a divisor below 1 ("elementary divisor" and
+    the value); a broken chain is a CharQuasiError too.
+
     Kept because bench/inputs.py:naive_period reads smith_divisors(...).divisors.
     """
 
     __slots__ = ("divisors",)
 
     def __init__(self, divisors: Iterable[int]) -> None:
-        divs = tuple(operator.index(v) for v in divisors)
-        if any(v < 1 for v in divs):
-            raise CharQuasiError("elementary divisors must be positive")
+        divs = tuple(positive(v, "elementary divisor") for v in divisors)
         for a, b in zip(divs, divs[1:]):
             if b % a:
                 raise CharQuasiError("elementary divisors must form a chain")
@@ -260,7 +261,8 @@ def lcm_period(mat: IntMatrix, max_subset_size: int | None = None) -> PeriodResu
     package's one column limit.  With max_subset_size = c it covers the
     subsets of size <= c; the result is exact when c >= rank S (so
     c = the row count always is) and otherwise only a lower bound (a
-    divisor of the true period).
+    divisor of the true period).  errors.positive refuses a cap below 1,
+    naming max_subset_size and the value.
 
     Only the lattices of independent column sets are built (see the module
     docstring): a column extends a lattice when it raises the rank, up to
@@ -280,9 +282,7 @@ def lcm_period(mat: IntMatrix, max_subset_size: int | None = None) -> PeriodResu
             )
         cap = n
     else:
-        cap = operator.index(max_subset_size)
-        if cap < 1:
-            raise CharQuasiError("max_subset_size must be >= 1")
+        cap = positive(max_subset_size, "max_subset_size")
     top = min(cap, rank)
     # Lattices of independent sets, with their rank; those of rank top are
     # never extended, and only their last divisor is kept.

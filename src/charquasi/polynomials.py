@@ -6,7 +6,7 @@ order divisors() gives.
 Interpolation and the closed forms both return these values, so they live
 apart from either: a closed-form listing loads this module and never the
 counting layer it is checked against.  The module imports only the value
-base class and two errors.
+base class, CharQuasiError and the positive() check.
 """
 
 import functools
@@ -15,7 +15,7 @@ import operator
 from collections.abc import Iterable, Iterator
 
 from .arrangements import _Value
-from .errors import CharQuasiError
+from .errors import CharQuasiError, positive
 
 
 class Polynomial(_Value):
@@ -119,8 +119,10 @@ class QuasiPolynomial(_Value):
     gcd(k, period), the gcd property of Kamiya-Takemura-Terao, so the type
     stores it once per divisor: constituents[i] applies to every q with
     gcd(q, period) == divisors(period)[i].  For period 1 or 2 that is the
-    class tuple itself.  A residue index is any positive integer: a
-    non-integer raises TypeError, and an integer below 1 CharQuasiError.
+    class tuple itself.  The period and a residue index are integers of at
+    least 1, checked by errors.positive: a non-integer raises TypeError,
+    and an integer below 1 a CharQuasiError naming "period" or "residue
+    index" and the value.
     str() gives the listing that `charquasi quasi` prints, one line per
     class k = 1..period.
     """
@@ -128,10 +130,8 @@ class QuasiPolynomial(_Value):
     __slots__ = ("period", "constituents")
 
     def __init__(self, period: int, constituents: Iterable[Polynomial]) -> None:
-        period = operator.index(period)
+        period = positive(period, "period")
         constituents = tuple(constituents)
-        if period < 1:
-            raise CharQuasiError("period must be >= 1")
         need = len(divisors(period))
         if len(constituents) != need:
             raise CharQuasiError(f"need exactly {need} constituents, got {len(constituents)}")
@@ -144,7 +144,7 @@ class QuasiPolynomial(_Value):
 
     def constituent(self, k: int) -> Polynomial:
         """Constituent of the residue class of k (any positive integer)."""
-        g = math.gcd(_residue_index(k), self.period)
+        g = math.gcd(positive(k, "residue index"), self.period)
         return self.constituents[divisors(self.period).index(g)]
 
     def __call__(self, q: int) -> int:
@@ -181,11 +181,3 @@ def divisors(n: int) -> tuple[int, ...]:
     """The positive divisors of n in increasing order; none when n < 1."""
     low = [d for d in range(1, math.isqrt(max(n, 0)) + 1) if n % d == 0]
     return tuple(low + [n // d for d in reversed(low) if d * d != n])
-
-
-def _residue_index(k: int) -> int:
-    """k as a residue-class index: TypeError unless an integer, CharQuasiError below 1."""
-    k = operator.index(k)
-    if k < 1:
-        raise CharQuasiError(f"residue index must be >= 1, got {k}")
-    return k

@@ -567,7 +567,7 @@ class TestVerify:
         code, out, err = run_cli(
             capsys, "verify", "--family", "B", "--m", "2", "--qmax", "-100000"
         )
-        assert (code, out, err) == (2, "", "error: --qmax must be >= 1\n")
+        assert (code, out, err) == (2, "", "error: --qmax must be >= 1, got -100000\n")
 
     @given(st.sampled_from(["B", "D"]), st.integers(2, 6), st.integers(1, 120))
     @settings(max_examples=60, deadline=None)

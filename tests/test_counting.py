@@ -316,8 +316,9 @@ class TestQuasiPolynomial:
             QuasiPolynomial(0, ())
 
     def test_rejects_bad_residue(self):
-        # The package's one residue-index check.  Like every refusal of
-        # the package, a value below 1 is a ValueError; a non-integer is a
+        # Checked by errors.positive, the package's one check of an
+        # integer that must be at least 1.  Like every refusal of the
+        # package, a value below 1 is a ValueError; a non-integer is a
         # wrong type.
         qp = chi_coxeter("B", 2)
         for bad in (0, -3):
@@ -671,13 +672,15 @@ class TestInterpolation:
         ):
             interpolate_quasi(gen_coxeter("B", 2), 1)
 
-    def test_rejects_bad_period(self):
-        # No class is sampled; QuasiPolynomial refuses the period.  The
-        # point budget is checked only for a period >= 1: at -10**5 the
-        # largest sample would hold (-3 * 10**5)^2 points, over the default.
+    def test_rejects_bad_period(self, monkeypatch):
+        # Refused before any count and before the point budget is read: at
+        # -10**5 the largest sample would hold (-3 * 10**5)^2 points, over
+        # the default.
+        calls = count_calls(monkeypatch, counting, "brute_force_count")
         for bad in (0, -2, -10**5):
-            with pytest.raises(ValueError, match="period must be >= 1"):
+            with pytest.raises(CharQuasiError, match=rf"^period must be >= 1, got {bad}$"):
                 interpolate_quasi(gen_coxeter("B", 2), bad)
+        assert calls["brute_force_count"] == 0
 
     @pytest.mark.parametrize("bad", [2.0, 1e10, "3"])
     def test_non_integer_period_is_a_type_error(self, bad):

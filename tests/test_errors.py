@@ -7,6 +7,9 @@ and the message the package gives: a plain CharQuasiError for bad input,
 and one of the two limit errors for a refusal that a setting lifts.
 """
 
+import ast
+import pathlib
+
 import pytest
 
 import charquasi
@@ -18,6 +21,8 @@ from charquasi import (
     QuasiPolynomial,
     brute_force_count,
     chi_coxeter,
+    chi_deform_a,
+    chi_deform_d,
     coxeter_spec,
     gen_coxeter,
     interpolate_quasi,
@@ -49,9 +54,12 @@ REFUSALS = [
     _row("IntMatrix-ragged", lambda: IntMatrix(((1, 0), (1,))),
          "matrix rows must all have the same length"),
     _row("IntMatrix-zero-column", lambda: IntMatrix(((1, 0), (0, 0))), "column 2 is zero"),
-    _row("DeformSpec-m", lambda: DeformSpec(0), "dimension m must be >= 1"),
+    _row("DeformSpec-m", lambda: DeformSpec(0), "dimension m must be >= 1, got 0"),
+    # Two faults: m is checked first, so it is the one named.
+    _row("DeformSpec-m-before-s", lambda: DeformSpec(0, (0,)),
+         "dimension m must be >= 1, got 0"),
     _row("DeformSpec-t", lambda: DeformSpec(1, (2, 1)), "tuple length t = 2 exceeds m = 1"),
-    _row("DeformSpec-s", lambda: DeformSpec(2, (0,)), "diagonal entries must be positive"),
+    _row("DeformSpec-s", lambda: DeformSpec(2, (0,)), "diagonal entry must be >= 1, got 0"),
     _row("DeformSpec-chain", lambda: DeformSpec(2, (3, 2)),
          "divisibility chain broken: 2 does not divide 3"),
     _row("DeformSpec-r", lambda: DeformSpec(2, (2,), 2),
@@ -74,10 +82,11 @@ REFUSALS = [
          "empty arrangement: D_1 has no hyperplanes"),
     _row("known_period-D-m1", lambda: known_period(DeformSpec(1, (2,)), "Ddeform"),
          "type-D deformation needs m >= 2"),
-    _row("brute-q", lambda: brute_force_count(B2, 0), "modulus q must be >= 1"),
-    _row("snf-q", lambda: snf_count(B2, 0), "modulus q must be >= 1"),
-    _row("lcm_period-cap", lambda: lcm_period(B2, 0), "max_subset_size must be >= 1"),
-    _row("QuasiPolynomial-period", lambda: QuasiPolynomial(0, ()), "period must be >= 1"),
+    _row("brute-q", lambda: brute_force_count(B2, 0), "modulus q must be >= 1, got 0"),
+    _row("snf-q", lambda: snf_count(B2, 0), "modulus q must be >= 1, got 0"),
+    _row("lcm_period-cap", lambda: lcm_period(B2, 0), "max_subset_size must be >= 1, got 0"),
+    _row("QuasiPolynomial-period", lambda: QuasiPolynomial(0, ()),
+         "period must be >= 1, got 0"),
     _row("QuasiPolynomial-count", lambda: QuasiPolynomial(2, (Polynomial((0, 1)),)),
          "need exactly 2 constituents, got 1"),
     _row("QuasiPolynomial-degree",
@@ -88,7 +97,7 @@ REFUSALS = [
     _row("residue-below-1", lambda: chi_coxeter("B", 2).constituent(0),
          "residue index must be >= 1, got 0"),
     _row("ElementaryDivisors-positive", lambda: ElementaryDivisors((0,)),
-         "elementary divisors must be positive"),
+         "elementary divisor must be >= 1, got 0"),
     _row("ElementaryDivisors-chain", lambda: ElementaryDivisors((2, 3)),
          "elementary divisors must form a chain"),
     _row("column_submatrix-empty", lambda: column_submatrix(B2, ()),
@@ -125,7 +134,7 @@ REFUSALS = [
          "single moduli with 'count --q N' or 'verify --qmax N', or single classes "
          "with chi_deform(family, spec, k)"),
     _row("cli-qmax-low", lambda: _cli("verify", "--family", "B", "--m", "2", "--qmax", "0"),
-         "--qmax must be >= 1"),
+         "--qmax must be >= 1, got 0"),
     _row("cli-qmax-high",
          lambda: _cli("verify", "--family", "B", "--m", "1", "--qmax", "1000001"),
          "--qmax 1000001 is over the listing limit of 1000000 rows; count single "
@@ -142,11 +151,68 @@ def test_every_refusal_is_a_charquasi_error_and_a_value_error(call, error, messa
     assert str(exc.value) == message
 
 
+# Every integer that must be at least 1, by the name its refusal gives it.
+POSITIVE = [
+    pytest.param(lambda v: brute_force_count(B2, v), "modulus q", id="brute-q"),
+    pytest.param(lambda v: snf_count(B2, v), "modulus q", id="snf-q"),
+    pytest.param(lambda v: interpolate_quasi(B2, v), "period", id="interpolate-period"),
+    pytest.param(lambda v: QuasiPolynomial(v, ()), "period", id="QuasiPolynomial-period"),
+    pytest.param(lambda v: chi_coxeter("B", 2).constituent(v), "residue index",
+                 id="constituent-k"),
+    pytest.param(lambda v: chi_deform_a(DeformSpec(2, (2,)), v), "residue index",
+                 id="chi_deform_a-k"),
+    pytest.param(lambda v: chi_deform_d(DeformSpec(2, (2,)), v), "residue index",
+                 id="chi_deform_d-k"),
+    pytest.param(lambda v: lcm_period(B2, v), "max_subset_size", id="lcm_period-cap"),
+    pytest.param(lambda v: ElementaryDivisors((1, v)), "elementary divisor",
+                 id="ElementaryDivisors"),
+    pytest.param(lambda v: DeformSpec(v), "dimension m", id="DeformSpec-m"),
+    pytest.param(lambda v: DeformSpec(2, (v,)), "diagonal entry", id="DeformSpec-s"),
+    pytest.param(lambda v: _cli("verify", "--family", "B", "--m", "2", "--qmax", str(v)),
+                 "--qmax", id="cli-qmax"),
+]
+
+
+@pytest.mark.parametrize("value", [0, -1])
+@pytest.mark.parametrize("call, name", POSITIVE)
+def test_an_integer_below_1_is_refused_naming_the_argument_and_value(call, name, value):
+    with pytest.raises(CharQuasiError) as exc:
+        call(value)
+    assert type(exc.value) is CharQuasiError
+    assert str(exc.value) == f"{name} must be >= 1, got {value}"
+
+
+def test_the_at_least_1_rule_is_worded_once():
+    # errors.positive is the one check: no other module words the refusal
+    # or keeps a check of its own.
+    sources = {
+        path.name: path.read_text(encoding="utf-8")
+        for path in pathlib.Path(errors.__file__).parent.glob("*.py")
+    }
+    assert "errors.py" in sources and len(sources) > 1
+    assert [name for name, text in sources.items() if "must be >= 1" in text] == ["errors.py"]
+    defined = {
+        node.name
+        for text in sources.values()
+        for node in ast.walk(ast.parse(text))
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+    }
+    assert "positive" in defined
+    assert "_residue_index" not in defined
+
+
 # A wrong argument type is not a refusal the package words: operator.index
 # raises it, and the package lets it through.
 TYPE_ERRORS = [
     pytest.param(lambda: chi_coxeter("B", 2).constituent(1.5), id="residue-not-integer"),
     pytest.param(lambda: brute_force_count(B2, 1.5), id="brute-q-not-integer"),
+    pytest.param(lambda: snf_count(B2, 1.5), id="snf-q-not-integer"),
+    pytest.param(lambda: lcm_period(B2, 1.5), id="lcm_period-cap-not-integer"),
+    pytest.param(lambda: DeformSpec(1.5), id="DeformSpec-m-not-integer"),
+    pytest.param(lambda: DeformSpec(2, (1.5,)), id="DeformSpec-s-not-integer"),
+    pytest.param(lambda: QuasiPolynomial(1.5, (Polynomial((0, 1)),)),
+                 id="QuasiPolynomial-period-not-integer"),
+    pytest.param(lambda: ElementaryDivisors((1.5,)), id="ElementaryDivisors-not-integer"),
 ]
 
 
